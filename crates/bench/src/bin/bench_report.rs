@@ -52,8 +52,8 @@ const PROBE_INTERVAL_S: f64 = 5.0;
 const DEFAULT_CHECK_THRESHOLD: f64 = 0.15;
 
 /// Baselines frozen immediately before PR 3 (allocation-free hot path),
-/// measured as the mean of 10 samples of `cargo bench -p nc-bench --bench
-/// event_sim` on the development machine. Kept in the report so the
+/// measured as the mean of 10 samples of the since-retired criterion bench
+/// `event_sim` on the development machine. Kept in the report so the
 /// speedup claim stays auditable without digging through git history.
 const PRE_PR3_BASELINE: &[(&str, u64, f64)] = &[
     ("event_sim/one_hour_256_nodes", 256, 1.298e9),

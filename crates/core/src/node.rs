@@ -580,6 +580,11 @@ impl<Id: Eq + Hash + Clone> StableNode<Id> {
         &self.pending
     }
 
+    /// The sequence number the next probe will carry.
+    pub fn next_probe_seq(&self) -> u64 {
+        self.probe_seq
+    }
+
     /// Consecutive unanswered probes of `id` (zero when the last probe was
     /// answered or the peer has never been probed).
     pub fn loss_streak(&self, id: &Id) -> u32 {

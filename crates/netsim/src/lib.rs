@@ -26,7 +26,10 @@
 //!   model says so), the reply takes the other half back, and a probe or
 //!   reply dropped by the link's loss process — or by an active partition —
 //!   surfaces as a timeout and a typed `ProbeLost` event rather than a
-//!   stalled schedule.
+//!   stalled schedule. One serial event loop decides that schedule and
+//!   hands the engine work, in bounded batches, to one or more workers
+//!   that each own a share of the nodes
+//!   ([`Simulator::with_threads`](sim::Simulator::with_threads)).
 //! * [`scenario`] — scripted churn replayed by the simulator: joins and
 //!   flash crowds, graceful leaves, crashes with snapshot-based restarts
 //!   (the `nc-proto` persist/restore path, end to end), node-group or
@@ -118,5 +121,5 @@ pub use metrics::{ConfigMetrics, NodeMetrics, SimReport};
 pub use planetlab::PlanetLabConfig;
 pub use scenario::{Scenario, ScenarioAction, ScenarioEvent};
 pub use sim::{ConfigError, EventQueue, SimConfig, Simulator};
-pub use topology::{Region, RttMatrix, Topology};
+pub use topology::{Region, Topology};
 pub use trace::{TraceConfig, TraceGenerator, TraceRecord};

@@ -1,43 +1,48 @@
-//! Node-sharded parallel execution of a single simulation.
+//! The simulator's event loop and its executor.
 //!
-//! The discrete-event loop in [`crate::sim`] interleaves two very different
-//! kinds of work. The *schedule* — who probes whom and when, which packets
-//! the link model drops, what gossip teaches the rotation, what the scenario
-//! script does — is cheap and inherently sequential: every decision flows
-//! through one protocol RNG and one global clock. The *engine* work —
-//! filters, Vivaldi updates, response construction, metric folding — is
-//! expensive and perfectly node-local.
+//! Every [`Simulator::run`](crate::sim::Simulator::run) goes through this
+//! module, whatever its worker count. A simulation interleaves two very
+//! different kinds of work. The *schedule* — who probes whom and when,
+//! which packets the link model drops, what gossip teaches the rotation,
+//! what the scenario script does — is cheap and inherently sequential:
+//! every decision flows through one protocol RNG and one global clock. The
+//! *engine* work — filters, Vivaldi updates, response construction, metric
+//! folding — is expensive and node-local.
 //!
-//! This module splits the two into phases:
-//!
-//! 1. **Plan (serial).** Replay the exact event loop against the real
-//!    [`ScheduleState`], but with a lightweight per-node *mirror* of the only
+//! 1. **Plan (serial).** The [`Planner`] pops the event queue and makes
+//!    every schedule decision against the real [`ScheduleState`]. The only
 //!    engine state that feeds back into the schedule (pending probes, loss
-//!    streaks, the probe sequence counter). The replay emits a per-shard list
-//!    of engine operations in global event order, plus one [`ExchangeRec`]
-//!    per delivered probe.
-//! 2. **Execute (parallel).** Worker `w` owns every node with
-//!    `index % threads == w` (across all named configurations) and runs its
-//!    operation list in order. The only cross-shard data flow is a probe
-//!    response travelling from the responder's shard to the prober's shard;
-//!    it moves through a slab of epoch-versioned [`SlotCell`]s with
-//!    acquire/release handshakes, so the steady state recycles response
-//!    buffers exactly like the serial path and never locks.
+//!    streaks, the probe sequence counter) it reads from one [`MirrorNode`]
+//!    per (configuration, node). Each decision that needs engine work
+//!    becomes a self-contained [`Op`], appended to the buffer of the worker
+//!    that owns the node.
+//! 2. **Execute.** Whenever the buffer holds [`BATCH_OPS`] operations, and
+//!    once more at the end of the run, every worker runs its share in
+//!    order. [`Worker::execute`] is the only code in the crate that calls
+//!    the engines. Worker `w` owns every node with `index % workers == w`,
+//!    across all configurations. One worker runs on the calling thread;
+//!    with more, worker 0 stays on the calling thread and the others run on
+//!    scoped threads. The only cross-worker data flow is a probe response
+//!    travelling from the responder's worker to the prober's; it moves
+//!    through a slab of epoch-versioned [`SlotCell`]s with acquire/release
+//!    handshakes, so the steady state recycles response buffers and never
+//!    locks.
 //!
-//! Because phase 1 performs byte-identical schedule decisions and phase 2
-//! performs byte-identical engine calls in a per-node order equal to the
-//! serial interleaving, the resulting [`crate::metrics::SimReport`] is
-//! byte-identical to serial execution — a contract enforced by the
-//! regression and property-test suites.
+//! Each node's engine calls happen in the order its events pop, whatever
+//! the worker count, so the [`crate::metrics::SimReport`] is byte-identical
+//! at every worker count — a contract enforced by the regression,
+//! golden-digest and property-test suites.
 //!
-//! The mirror is sufficient because the engine influences the schedule
+//! The mirrors are sufficient because an engine influences the schedule
 //! through exactly three facts (see `StableNode`): whether a timeout
 //! correlates with a pending probe, whether a loss streak reaches the
-//! eviction threshold, and which sequence number a probe carries. All three
-//! are pure functions of the mirrored state. Uniform eviction thresholds
-//! across configurations are required (the same condition the
-//! per-configuration parallel path already imposes); `Simulator::run` falls
-//! back to the serial path otherwise.
+//! configuration's eviction threshold, and which sequence number a probe
+//! carries. All three are pure functions of the mirrored state. A peer
+//! leaves the shared rotation only once every configuration has evicted it
+//! (the unanimity rule), so configurations with different thresholds still
+//! share one schedule. Debug builds check the claim: a one-worker run
+//! executes every operation as soon as it is planned and asserts that each
+//! configuration's mirror of the node equals its engine.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -50,35 +55,78 @@ use stable_nc::{FxHashMap, NodeConfig, StableNode};
 use crate::adversary::{apply_lie, CoordinateLie};
 use crate::metrics::{NodeMetrics, TrackedCoordinate};
 use crate::scenario::ScenarioAction;
-use crate::sim::{
-    feed_query_index, fold_events, EngineState, EventQueue, PartitionWindow, ScheduleState, SimEnv,
-    SimEvent,
-};
+use crate::sim::{EngineState, EventQueue, ScheduleState, SimEnv};
 
-/// One engine operation for one node, emitted by the planner in global
-/// event order. Node-addressed variants carry the global node index; probe
-/// exchanges are addressed through their [`ExchangeRec`].
+/// Operations the planner buffers before the workers run them. At roughly
+/// a microsecond of engine work per operation, a batch keeps each worker
+/// busy for milliseconds against a thread spawn of tens of microseconds,
+/// while the buffer (48 bytes an operation) stays near 200 KB however long
+/// the run: planning a whole run up front held every operation at once,
+/// which doubled the peak memory of a 256-node hour.
+const BATCH_OPS: usize = 4096;
+
+/// What the simulator does when the clock reaches an event. Per-exchange
+/// data lives in the planner's [`Exchange`] slab; probe events carry only
+/// its index, so the queue moves a few machine words per event.
 #[derive(Debug, Clone, Copy)]
-enum PlanOp {
+enum SimEvent {
+    /// A node's probe tick: pick the next round-robin target and launch the
+    /// exchange. Reschedules itself every probe interval while the node is
+    /// up.
+    ProbeSend { src: usize },
+    /// A probe reaches its target, which answers it (the reply may then be
+    /// lost on the way back).
+    ProbeDeliver { src: usize, dst: usize, slot: usize },
+    /// A reply reaches the prober, which digests it.
+    ResponseDeliver { src: usize, dst: usize, slot: usize },
+    /// The prober's timer for one probe fires; a no-op when the reply
+    /// arrived first.
+    ProbeTimeout { src: usize, seq: u64 },
+    /// Sample the tracked nodes' coordinates (Figure 7 trajectories).
+    TrackSample,
+    /// Apply the next scripted scenario action.
+    ScenarioAction { index: usize },
+}
+
+/// One engine operation, planned in global event order. Each carries
+/// everything its worker needs; nothing it refers to changes after it is
+/// queued.
+#[derive(Debug, Clone, Copy)]
+enum Op {
     /// `probe_request_for(dst, now_ms)` on every configuration's `node`.
     Issue { node: u32, dst: u32, now_ms: u64 },
-    /// The responder's side of exchange `rec`: build the responses and
-    /// publish them to the prober's shard.
-    Respond { rec: u32 },
-    /// The prober's side of exchange `rec`: digest the published responses.
-    Digest { rec: u32, now: f64, measuring: bool },
+    /// The responder's side of an exchange: answer `(dst, seq,
+    /// sent_at_ms)`, stamp `rtt_ms`, apply the lie at index `lie`, then
+    /// publish the responses in `slot` (a digest or discard follows) or,
+    /// when the reply is lost on the way back, consume the slot use itself.
+    Respond {
+        dst: u32,
+        slot: u32,
+        epoch: u32,
+        lie: Option<u32>,
+        publish: bool,
+        seq: u64,
+        sent_at_ms: u64,
+        rtt_ms: f64,
+    },
+    /// The prober's side: digest the responses published in `slot`.
+    Digest {
+        node: u32,
+        slot: u32,
+        epoch: u32,
+        measuring: bool,
+        now: f64,
+    },
+    /// The reply was dropped at delivery (prober down or partitioned):
+    /// release the published slot use unread.
+    Discard { slot: u32, epoch: u32 },
     /// `handle_timeout_into(seq)` on every configuration's `node`.
     Timeout { node: u32, seq: u64 },
     /// Take crash snapshots of every configuration's `node`.
     Crash { node: u32 },
     /// Revive `node`: fresh engines on a join, snapshot restores on a
     /// restart, expiring pre-crash pending probes either way.
-    Restore {
-        node: u32,
-        fresh: bool,
-        now: f64,
-        now_ms: u64,
-    },
+    Restore { node: u32, fresh: bool, now: f64 },
     /// Sample `node`'s coordinates for the trajectory metrics.
     Track {
         node: u32,
@@ -88,44 +136,25 @@ enum PlanOp {
     },
 }
 
-/// One delivered probe exchange: everything both shards need to replay it
-/// without touching each other's engines. The request is reconstructed on
-/// the responder's shard from `(dst, seq, sent_at_ms)` — simulator probes
-/// carry no other payload.
-struct ExchangeRec {
-    src: u32,
-    dst: u32,
+/// The planner's record of one in-flight exchange, recycled through the
+/// slot free list together with the [`SlotCell`] of the same index.
+#[derive(Debug, Clone, Copy, Default)]
+struct Exchange {
     seq: u64,
     sent_at_ms: u64,
     rtt_ms: f64,
-    /// Index into the executor's [`SlotCell`] slab.
-    slot: u32,
-    /// 1-based use counter of `slot`; gates the publish/consume handshake.
+    reverse_delay_s: f64,
+    reverse_lost: bool,
+    /// Uses of this slot's cell so far; the current use's epoch.
     epoch: u32,
-    /// False when the reply never reaches the prober (reverse loss, crash,
-    /// partition): the responder then consumes its own slot use.
-    has_digest: bool,
-    /// The coordinate lie drawn for this exchange (adversarial responder),
-    /// applied to every configuration's response at `Respond` time —
-    /// exactly where the serial loop applies it.
-    lie: Option<CoordinateLie>,
 }
 
-/// The planner's output: per-shard operation lists (each in global event
-/// order), the exchange records they reference, and the slot-slab size.
-struct Plan {
-    shard_ops: Vec<Vec<PlanOp>>,
-    recs: Vec<ExchangeRec>,
-    slot_count: usize,
-    scenario_actions: u64,
-}
-
-/// The per-node mirror of the engine state that feeds back into the shared
-/// schedule. Mirrors `StableNode`'s pending-probe table, loss streaks and
-/// probe sequence counter — nothing else, because nothing else the engine
-/// does can alter who gets probed when.
+/// The per-(configuration, node) mirror of the engine state that feeds back
+/// into the shared schedule: `StableNode`'s pending-probe table, loss
+/// streaks and probe sequence counter — nothing else, because nothing else
+/// the engine does can alter who gets probed when.
 #[derive(Debug, Default, Clone)]
-struct MirrorNode {
+pub(crate) struct MirrorNode {
     probe_seq: u64,
     pending: Vec<MirrorPending>,
     streaks: FxHashMap<usize, u32>,
@@ -139,7 +168,7 @@ struct MirrorPending {
 
 impl MirrorNode {
     /// Mirrors `probe_request_for`: registers the pending probe and returns
-    /// the sequence number the engines will assign.
+    /// the sequence number the engine assigns.
     fn issue(&mut self, target: usize) -> u64 {
         let seq = self.probe_seq;
         self.probe_seq = self.probe_seq.wrapping_add(1);
@@ -177,14 +206,10 @@ impl MirrorNode {
         let target = self.pending.remove(position).target;
         let streak = self.streaks.entry(target).or_insert(0);
         *streak = streak.saturating_add(1);
-        let streak = *streak;
-        let mut evicted = false;
-        if let Some(max) = max_losses {
-            if streak >= max {
-                self.streaks.remove(&target);
-                self.pending.retain(|probe| probe.target != target);
-                evicted = true;
-            }
+        let evicted = max_losses.is_some_and(|max| *streak >= max);
+        if evicted {
+            self.streaks.remove(&target);
+            self.pending.retain(|probe| probe.target != target);
         }
         (Some(target), evicted)
     }
@@ -195,29 +220,25 @@ impl MirrorNode {
     fn expire_all(&mut self, max_losses: Option<u32>) -> Vec<usize> {
         let mut evicted = Vec::new();
         while let Some(first) = self.pending.first() {
-            let seq = first.seq;
-            let (target, did_evict) = self.timeout(seq, max_losses);
-            if did_evict {
-                if let Some(target) = target {
-                    evicted.push(target);
-                }
+            if let (Some(target), true) = self.timeout(first.seq, max_losses) {
+                evicted.push(target);
             }
         }
         evicted
     }
 }
 
-/// One slot of the cross-shard response slab. `data` holds one response per
-/// named configuration and is reused across exchanges (epochs), keeping the
-/// steady-state parallel path as allocation-free as the serial one.
+/// One slot of the cross-worker response slab. `data` holds one response
+/// per named configuration and is reused across exchanges (epochs), so the
+/// steady-state exchange path allocates nothing.
 ///
 /// Protocol: the responder of epoch `e` first waits for `consumed == e - 1`
-/// (the previous use is fully digested), writes the responses, then either
-/// stores `published = e` (a digest is coming) or `consumed = e` (the reply
-/// was lost in flight; it consumes its own use). The prober waits for
-/// `published == e`, reads, and stores `consumed = e`. Every wait is on an
-/// operation strictly earlier in the planner's global order, so the
-/// executor can never deadlock.
+/// (the previous use is finished), writes the responses, then either stores
+/// `published = e` (a digest or discard is coming) or `consumed = e` (the
+/// reply was lost in flight; it consumes its own use). The prober waits for
+/// `published == e`, reads (or not), and stores `consumed = e`. Every wait
+/// is on an operation strictly earlier in the planner's global order, and
+/// earlier batches have finished, so the executor can never deadlock.
 struct SlotCell {
     published: AtomicU32,
     consumed: AtomicU32,
@@ -239,92 +260,117 @@ impl SlotCell {
     }
 }
 
+/// Spins (yielding) until `counter` reads `epoch`.
+fn wait_for(counter: &AtomicU32, epoch: u32) {
+    while counter.load(Ordering::Acquire) != epoch {
+        std::thread::yield_now();
+    }
+}
+
 /// One configuration's share of a worker: the engines, metrics and crash
-/// snapshots of every node `i` with `i % threads == shard`, stored at local
-/// index `i / threads`.
+/// snapshots of every node `i` with `i % workers == w`, stored at local
+/// index `i / workers`.
 struct WorkerRun {
     config: NodeConfig,
     nodes: Vec<StableNode<usize>>,
     metrics: Vec<NodeMetrics>,
     snapshots: Vec<Option<NodeSnapshot<usize>>>,
     /// `(sample index, track-list position, sample)` — stitched back into
-    /// the per-run `tracked` vector in serial order after the join.
+    /// the per-run `tracked` vector in event order after the run.
     tracked: Vec<(u32, u32, TrackedCoordinate)>,
     /// This worker's slice of the run's optional coordinate query index.
-    /// A coordinate update for node `i` is only ever digested by worker
-    /// `i % threads`, so the per-worker indexes hold disjoint id sets and
-    /// merge without conflicts after the join.
+    /// A coordinate update for node `i` is only ever digested by its owning
+    /// worker, so the slices hold disjoint id sets and merge without
+    /// conflicts.
     index: Option<CoordinateIndex<usize>>,
 }
 
-/// One worker thread's state: its shard of every configuration plus a
-/// reusable engine-event buffer.
+/// One worker's state: its shard of every configuration plus a reusable
+/// engine-event buffer.
 struct Worker {
-    threads: usize,
+    workers: usize,
     runs: Vec<WorkerRun>,
     events: Vec<Event<usize>>,
 }
 
 impl Worker {
-    fn execute(&mut self, ops: &[PlanOp], recs: &[ExchangeRec], cells: &[SlotCell]) {
+    fn execute(&mut self, ops: &[Op], lies: &[CoordinateLie], cells: &[SlotCell]) {
+        let Worker {
+            workers,
+            runs,
+            events,
+        } = self;
         for op in ops {
             match *op {
-                PlanOp::Issue { node, dst, now_ms } => {
-                    let local = node as usize / self.threads;
-                    for run in &mut self.runs {
+                Op::Issue { node, dst, now_ms } => {
+                    let local = node as usize / *workers;
+                    for run in runs.iter_mut() {
                         let _ = run.nodes[local].probe_request_for(dst as usize, now_ms);
                         run.metrics[local].probes_sent += 1;
                     }
                 }
-                PlanOp::Respond { rec } => {
-                    let rec = &recs[rec as usize];
-                    let local = rec.dst as usize / self.threads;
-                    let cell = &cells[rec.slot as usize];
-                    while cell.consumed.load(Ordering::Acquire) != rec.epoch - 1 {
-                        std::thread::yield_now();
-                    }
+                Op::Respond {
+                    dst,
+                    slot,
+                    epoch,
+                    lie,
+                    publish,
+                    seq,
+                    sent_at_ms,
+                    rtt_ms,
+                } => {
+                    let local = dst as usize / *workers;
+                    let cell = &cells[slot as usize];
+                    wait_for(&cell.consumed, epoch - 1);
                     // SAFETY: the epoch handshake above grants this worker
                     // exclusive access until it stores published/consumed.
                     let responses = unsafe { &mut *cell.data.get() };
-                    let request = ProbeRequest::new(rec.dst as usize, rec.seq, rec.sent_at_ms);
-                    for (index, run) in self.runs.iter_mut().enumerate() {
+                    let request = ProbeRequest::new(dst as usize, seq, sent_at_ms);
+                    let lie = lie.map(|index| &lies[index as usize]);
+                    for (index, run) in runs.iter_mut().enumerate() {
+                        // First uses of a slot grow the response vector;
+                        // afterwards the existing message (and its gossip
+                        // buffer) is rewritten in place.
                         if responses.len() <= index {
                             let response = run.nodes[local].respond(&request);
                             responses.push(response);
                         } else {
                             run.nodes[local].respond_into(&request, &mut responses[index]);
                         }
-                        responses[index].rtt_ms = rec.rtt_ms;
-                        if let Some(lie) = &rec.lie {
+                        responses[index].rtt_ms = rtt_ms;
+                        if let Some(lie) = lie {
                             apply_lie(&mut responses[index], lie);
                         }
                     }
-                    if rec.has_digest {
-                        cell.published.store(rec.epoch, Ordering::Release);
+                    let counter = if publish {
+                        &cell.published
                     } else {
-                        cell.consumed.store(rec.epoch, Ordering::Release);
-                    }
+                        &cell.consumed
+                    };
+                    counter.store(epoch, Ordering::Release);
                 }
-                PlanOp::Digest {
-                    rec,
-                    now,
+                Op::Digest {
+                    node,
+                    slot,
+                    epoch,
                     measuring,
+                    now,
                 } => {
-                    let rec = &recs[rec as usize];
-                    let local = rec.src as usize / self.threads;
-                    let cell = &cells[rec.slot as usize];
-                    while cell.published.load(Ordering::Acquire) != rec.epoch {
-                        std::thread::yield_now();
-                    }
+                    let local = node as usize / *workers;
+                    let cell = &cells[slot as usize];
+                    wait_for(&cell.published, epoch);
                     // SAFETY: published == epoch means the responder is done
                     // writing; no one else touches the cell until we store
                     // `consumed`.
                     let responses = unsafe { &*cell.data.get() };
-                    for (index, run) in self.runs.iter_mut().enumerate() {
-                        self.events.clear();
-                        run.nodes[local].handle_response_into(&responses[index], &mut self.events);
-                        let ignored = self
-                            .events
+                    for (run, response) in runs.iter_mut().zip(responses) {
+                        events.clear();
+                        run.nodes[local].handle_response_into(response, events);
+                        // A reply the engine refused to correlate (it raced
+                        // its own timeout, or the peer was evicted meanwhile)
+                        // is not an observation — it was already accounted
+                        // as a loss.
+                        let ignored = events
                             .iter()
                             .any(|event| matches!(event, Event::ResponseIgnored { .. }));
                         let node_metrics = &mut run.metrics[local];
@@ -334,33 +380,33 @@ impl Worker {
                                 node_metrics.observations += 1;
                             }
                         }
-                        fold_events(node_metrics, now, measuring, &self.events);
-                        feed_query_index(run.index.as_mut(), rec.src as usize, &self.events);
+                        fold_events(node_metrics, now, measuring, events);
+                        feed_query_index(run.index.as_mut(), node as usize, events);
                     }
-                    cell.consumed.store(rec.epoch, Ordering::Release);
+                    cell.consumed.store(epoch, Ordering::Release);
                 }
-                PlanOp::Timeout { node, seq } => {
-                    let local = node as usize / self.threads;
-                    for run in &mut self.runs {
-                        self.events.clear();
-                        run.nodes[local].handle_timeout_into(seq, &mut self.events);
-                        fold_events(&mut run.metrics[local], 0.0, false, &self.events);
+                Op::Discard { slot, epoch } => {
+                    let cell = &cells[slot as usize];
+                    wait_for(&cell.published, epoch);
+                    cell.consumed.store(epoch, Ordering::Release);
+                }
+                Op::Timeout { node, seq } => {
+                    let local = node as usize / *workers;
+                    for run in runs.iter_mut() {
+                        events.clear();
+                        run.nodes[local].handle_timeout_into(seq, events);
+                        fold_events(&mut run.metrics[local], 0.0, false, events);
                     }
                 }
-                PlanOp::Crash { node } => {
-                    let local = node as usize / self.threads;
-                    for run in &mut self.runs {
+                Op::Crash { node } => {
+                    let local = node as usize / *workers;
+                    for run in runs.iter_mut() {
                         run.snapshots[local] = Some(run.nodes[local].snapshot());
                     }
                 }
-                PlanOp::Restore {
-                    node,
-                    fresh,
-                    now,
-                    now_ms,
-                } => {
-                    let local = node as usize / self.threads;
-                    for run in &mut self.runs {
+                Op::Restore { node, fresh, now } => {
+                    let local = node as usize / *workers;
+                    for run in runs.iter_mut() {
                         let snapshot = if fresh {
                             None
                         } else {
@@ -374,19 +420,20 @@ impl Worker {
                                 .expect("a crash snapshot restores under its own configuration"),
                             None => StableNode::new(run.config.clone()),
                         };
-                        let events = revived.expire_pending(now_ms, 0);
-                        fold_events(&mut run.metrics[local], now, false, &events);
+                        events.clear();
+                        revived.expire_pending_into((now * 1_000.0) as u64, 0, events);
+                        fold_events(&mut run.metrics[local], now, false, events);
                         run.nodes[local] = revived;
                     }
                 }
-                PlanOp::Track {
+                Op::Track {
                     node,
                     sample,
                     order,
                     now,
                 } => {
-                    let local = node as usize / self.threads;
-                    for run in &mut self.runs {
+                    let local = node as usize / *workers;
+                    for run in runs.iter_mut() {
                         run.tracked.push((
                             sample,
                             order,
@@ -404,528 +451,699 @@ impl Worker {
     }
 }
 
-/// Runs the simulation to completion with engine work sharded across
-/// `threads` workers, leaving `state` (metrics, engines, schedule, crash
-/// snapshots) byte-identical to what serial execution would have produced.
-pub(crate) fn run_sharded(env: &SimEnv, state: &mut EngineState, threads: usize) {
-    let max_losses = state.runs[0].config.max_consecutive_losses;
-    let plan = build_plan(env, &mut state.schedule, max_losses, threads);
-    execute_plan(env, state, &plan, threads);
-}
-
-/// Phase 1: the serial schedule replay. Mutates `schedule` exactly as the
-/// engine-driven loop would and returns the operation lists for phase 2.
-fn build_plan(
-    env: &SimEnv,
-    schedule: &mut ScheduleState,
-    max_losses: Option<u32>,
-    threads: usize,
-) -> Plan {
-    let n = env.topology.len();
-    let duration = env.sim_config.duration_s;
-    let mut queue: EventQueue<SimEvent> = EventQueue::new();
-    let mut mirrors: Vec<MirrorNode> = vec![MirrorNode::default(); n];
-    let mut mirror_snapshots: Vec<Option<MirrorNode>> = vec![None; n];
-    let mut shard_ops: Vec<Vec<PlanOp>> = (0..threads).map(|_| Vec::new()).collect();
-    let mut recs: Vec<ExchangeRec> = Vec::new();
-    let mut free_slots: Vec<u32> = Vec::new();
-    let mut slot_epochs: Vec<u32> = Vec::new();
-    let mut scenario_actions = 0u64;
-    let mut track_sample = 0u32;
-
-    for &node in env.scenario.initially_down() {
-        schedule.alive[node] = false;
-    }
-    for (index, event) in env.scenario.events().iter().enumerate() {
-        if event.at_s < duration {
-            queue.schedule(event.at_s, SimEvent::ScenarioAction { index });
-        }
-    }
-    for src in 0..n {
-        if schedule.alive[src] {
-            schedule.probe_cycle_active[src] = true;
-            queue.schedule(0.0, SimEvent::ProbeSend { src });
-        }
-    }
-    if !env.sim_config.track_nodes.is_empty() {
-        queue.schedule(0.0, SimEvent::TrackSample);
-    }
-
-    while let Some((now, event)) = queue.pop() {
-        if now >= duration {
-            break;
-        }
-        match event {
-            SimEvent::ProbeSend { src } => {
-                schedule
-                    .active_partitions
-                    .retain(|window| window.heal_at_s > now);
-                if !schedule.alive[src] {
-                    schedule.probe_cycle_active[src] = false;
-                    continue;
-                }
-                let next_tick = now + env.sim_config.probe_interval_s;
-                if next_tick < duration {
-                    queue.schedule(next_tick, SimEvent::ProbeSend { src });
-                } else {
-                    schedule.probe_cycle_active[src] = false;
-                }
-                let neighbor_count = schedule.neighbor_sets[src].len();
-                if neighbor_count == 0 {
-                    continue;
-                }
-                // bounds: the cursor is reduced modulo neighbor_count == len.
-                let dst = schedule.neighbor_sets[src][schedule.round_robin[src] % neighbor_count];
-                schedule.round_robin[src] = schedule.round_robin[src].wrapping_add(1);
-                if dst == src {
-                    continue;
-                }
-                let draw = schedule.sample_exchange(env, src, dst, now);
-                let now_ms = (now * 1_000.0) as u64;
-                let seq = mirrors[src].issue(dst);
-                // bounds: src % threads < threads == shard_ops.len().
-                shard_ops[src % threads].push(PlanOp::Issue {
-                    node: src as u32,
-                    dst: dst as u32,
-                    now_ms,
-                });
-                queue.schedule(
-                    now + env.sim_config.probe_timeout_s,
-                    SimEvent::ProbeTimeout { src, seq },
-                );
-                if draw.forward_lost || schedule.partitioned(src, dst, now) {
-                    continue;
-                }
-                // The record is created only for probes that actually reach
-                // their target; the ProbeDeliver event carries its index in
-                // the `slot` field.
-                let rec_index = recs.len();
-                recs.push(ExchangeRec {
-                    src: src as u32,
-                    dst: dst as u32,
-                    seq,
-                    sent_at_ms: now_ms,
-                    rtt_ms: draw.rtt_ms,
-                    slot: u32::MAX,
-                    epoch: 0,
-                    has_digest: false,
-                    lie: None,
-                });
-                queue.schedule(
-                    now + draw.forward_delay_s,
-                    SimEvent::ProbeDeliver {
-                        src,
-                        dst,
-                        slot: rec_index,
-                        rtt_ms: draw.rtt_ms,
-                        reverse_delay_s: draw.reverse_delay_s,
-                        reverse_lost: draw.reverse_lost,
-                    },
-                );
-            }
-            SimEvent::ProbeDeliver {
-                src,
-                dst,
-                slot: rec_index,
-                reverse_delay_s,
-                reverse_lost,
-                ..
-            } => {
-                if !schedule.alive[dst] || schedule.partitioned(src, dst, now) {
-                    continue;
-                }
-                // Adversary draw: same point of the schedule as the serial
-                // loop's `on_probe_deliver`, so the dedicated adversary RNG
-                // advances identically and serial/sharded runs stay
-                // byte-identical.
-                let adversary = schedule.sample_adversary(dst);
-                let reverse_delay_s = match &adversary {
-                    Some(draw) => reverse_delay_s + draw.extra_delay_ms / 1_000.0,
-                    None => reverse_delay_s,
-                };
-                let slot = free_slots.pop().unwrap_or_else(|| {
-                    slot_epochs.push(0);
-                    (slot_epochs.len() - 1) as u32
-                });
-                slot_epochs[slot as usize] += 1;
-                let rec = &mut recs[rec_index];
-                rec.slot = slot;
-                rec.epoch = slot_epochs[slot as usize];
-                if let Some(draw) = adversary {
-                    rec.rtt_ms += draw.extra_delay_ms;
-                    rec.lie = draw.lie;
-                }
-                // bounds: dst % threads < threads == shard_ops.len().
-                shard_ops[dst % threads].push(PlanOp::Respond {
-                    rec: rec_index as u32,
-                });
-                if reverse_lost {
-                    free_slots.push(slot);
-                    continue;
-                }
-                queue.schedule(
-                    now + reverse_delay_s,
-                    SimEvent::ResponseDeliver {
-                        src,
-                        dst,
-                        slot: rec_index,
-                    },
-                );
-            }
-            SimEvent::ResponseDeliver {
-                src,
-                dst,
-                slot: rec_index,
-            } => {
-                let slot = recs[rec_index].slot;
-                if !schedule.alive[src] || schedule.partitioned(src, dst, now) {
-                    free_slots.push(slot);
-                    continue;
-                }
-                let measuring = now >= env.sim_config.measurement_start_s;
-                recs[rec_index].has_digest = true;
-                mirrors[src].response(dst, recs[rec_index].seq);
-                // bounds: src % threads < threads == shard_ops.len().
-                shard_ops[src % threads].push(PlanOp::Digest {
-                    rec: rec_index as u32,
-                    now,
-                    measuring,
-                });
-                free_slots.push(slot);
-                if env.sim_config.gossip && !schedule.neighbor_sets[dst].is_empty() {
-                    let idx = schedule
-                        .protocol_rng
-                        .gen_range(0..schedule.neighbor_sets[dst].len());
-                    let learned = schedule.neighbor_sets[dst][idx];
-                    if learned != src {
-                        schedule.neighbor_add(src, learned);
-                    }
-                }
-            }
-            SimEvent::ProbeTimeout { src, seq } => {
-                if !schedule.alive[src] {
-                    continue;
-                }
-                // bounds: src % threads < threads == shard_ops.len().
-                shard_ops[src % threads].push(PlanOp::Timeout {
-                    node: src as u32,
-                    seq,
-                });
-                let (target, evicted) = mirrors[src].timeout(seq, max_losses);
-                if evicted {
-                    if let Some(dst) = target {
-                        schedule.neighbor_remove(src, dst);
-                    }
-                }
-            }
-            SimEvent::TrackSample => {
-                for (order, &node) in env.sim_config.track_nodes.iter().enumerate() {
-                    // bounds: node % threads < threads == shard_ops.len().
-                    shard_ops[node % threads].push(PlanOp::Track {
-                        node: node as u32,
-                        sample: track_sample,
-                        order: order as u32,
-                        now,
-                    });
-                }
-                track_sample += 1;
-                let next = now + env.sim_config.track_interval_s;
-                if next < duration {
-                    queue.schedule(next, SimEvent::TrackSample);
-                }
-            }
-            SimEvent::ScenarioAction { index } => {
-                scenario_actions += 1;
-                let action = env.scenario.events()[index].action.clone();
-                match action {
-                    ScenarioAction::Join { nodes } => {
-                        for node in nodes {
-                            plan_bring_up(
-                                env,
-                                schedule,
-                                &mut mirrors,
-                                &mut mirror_snapshots,
-                                &mut shard_ops,
-                                max_losses,
-                                threads,
-                                now,
-                                node,
-                                true,
-                                &mut queue,
-                            );
-                        }
-                    }
-                    ScenarioAction::Leave { nodes } => {
-                        for node in nodes {
-                            schedule.alive[node] = false;
-                            for other in 0..schedule.neighbor_sets.len() {
-                                schedule.neighbor_remove(other, node);
-                            }
-                        }
-                    }
-                    ScenarioAction::Crash { nodes } => {
-                        for node in nodes {
-                            if !schedule.alive[node] {
-                                continue;
-                            }
-                            schedule.alive[node] = false;
-                            mirror_snapshots[node] = Some(mirrors[node].clone());
-                            // bounds: node % threads < threads == shard_ops.len().
-                            shard_ops[node % threads].push(PlanOp::Crash { node: node as u32 });
-                        }
-                    }
-                    ScenarioAction::Restart { nodes } => {
-                        for node in nodes {
-                            plan_bring_up(
-                                env,
-                                schedule,
-                                &mut mirrors,
-                                &mut mirror_snapshots,
-                                &mut shard_ops,
-                                max_losses,
-                                threads,
-                                now,
-                                node,
-                                false,
-                                &mut queue,
-                            );
-                        }
-                    }
-                    ScenarioAction::Partition { group, heal_at_s } => {
-                        plan_partition(env, schedule, &group, heal_at_s);
-                    }
-                    ScenarioAction::PartitionRegions { regions, heal_at_s } => {
-                        let group: Vec<usize> = regions
-                            .iter()
-                            .flat_map(|&region| env.topology.nodes_in_region(region))
-                            .collect();
-                        plan_partition(env, schedule, &group, heal_at_s);
-                    }
-                    ScenarioAction::SetAdversary { nodes, model } => {
-                        for node in nodes {
-                            schedule.adversaries[node] = model.clone();
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    Plan {
-        shard_ops,
-        recs,
-        slot_count: slot_epochs.len(),
-        scenario_actions,
-    }
-}
-
-/// The planner's mirror of `EngineState::bring_up`: identical schedule
-/// mutations (including the restart-expiry evictions), a `Restore` op
-/// instead of the engine work.
-#[allow(clippy::too_many_arguments)] // the planner's full mutable context; bundling it into a struct would just rename the borrows
-fn plan_bring_up(
-    env: &SimEnv,
-    schedule: &mut ScheduleState,
-    mirrors: &mut [MirrorNode],
-    mirror_snapshots: &mut [Option<MirrorNode>],
-    shard_ops: &mut [Vec<PlanOp>],
-    max_losses: Option<u32>,
-    threads: usize,
-    now: f64,
+/// Feeds a run's optional coordinate query index from one engine event
+/// stream: every `ApplicationUpdated` upserts the publishing node's new
+/// application coordinate. Called from the response digest — the only
+/// place the engines publish coordinates.
+fn feed_query_index(
+    index: Option<&mut CoordinateIndex<usize>>,
     node: usize,
-    fresh: bool,
-    queue: &mut EventQueue<SimEvent>,
+    events: &[Event<usize>],
 ) {
-    if schedule.alive[node] {
+    let Some(index) = index else {
         return;
-    }
-    schedule.alive[node] = true;
-    let now_ms = (now * 1_000.0) as u64;
-    let mut revived = if fresh {
-        MirrorNode::default()
-    } else {
-        mirror_snapshots[node].take().unwrap_or_default()
     };
-    let evicted = revived.expire_all(max_losses);
-    mirrors[node] = revived;
-    // bounds: node % threads < threads == shard_ops.len().
-    shard_ops[node % threads].push(PlanOp::Restore {
-        node: node as u32,
-        fresh,
-        now,
-        now_ms,
-    });
-    for target in evicted {
-        schedule.neighbor_remove(node, target);
+    for event in events {
+        if let Event::ApplicationUpdated { update } = event {
+            // The engine only publishes finite coordinates of the
+            // dimensionality the index was sized for, so this cannot fail.
+            let _ = index.update(node, &update.current);
+        }
     }
-    if fresh {
-        schedule.round_robin[node] = 0;
-        let n = env.topology.len();
-        let want = env.sim_config.initial_neighbors.min(
-            schedule
-                .alive
-                .iter()
-                .filter(|&&up| up)
-                .count()
-                .saturating_sub(1),
-        );
-        let mut set = Vec::new();
-        let mut attempts = 0;
-        while set.len() < want && attempts < n * 16 {
-            attempts += 1;
-            let candidate = schedule.protocol_rng.gen_range(0..n);
-            if candidate != node && schedule.alive[candidate] && !set.contains(&candidate) {
-                set.push(candidate);
+}
+
+/// Folds one engine event stream into a node's metric accumulators.
+/// Losses are counted over the whole run (a dead link produces nothing
+/// to gate a measurement window on); everything else respects the
+/// warm-up exclusion.
+fn fold_events(metrics: &mut NodeMetrics, time_s: f64, measuring: bool, events: &[Event<usize>]) {
+    for event in events {
+        match event {
+            Event::SystemMoved {
+                displacement_ms,
+                relative_error,
+                application_relative_error,
+                ..
+            } if measuring => {
+                metrics.system_errors.push((time_s, *relative_error));
+                metrics
+                    .application_errors
+                    .push((time_s, *application_relative_error));
+                if *displacement_ms > 0.0 {
+                    metrics
+                        .system_displacements
+                        .push((time_s, *displacement_ms));
+                }
+            }
+            Event::ApplicationUpdated { update } if measuring => {
+                metrics
+                    .application_displacements
+                    .push((time_s, update.displacement_ms));
+            }
+            Event::ProbeLost { .. } => metrics.probes_lost += 1,
+            Event::ResponseIgnored { .. } => metrics.responses_ignored += 1,
+            Event::ObservationRejected { .. } => metrics.observations_rejected += 1,
+            Event::NeighborEvicted { .. } => metrics.neighbors_evicted += 1,
+            _ => {}
+        }
+    }
+}
+
+/// The serial half: the event loop, the schedule decisions, the mirrors and
+/// the operation buffer, plus the workers it flushes into.
+struct Planner<'a> {
+    env: &'a SimEnv,
+    schedule: &'a mut ScheduleState,
+    /// The mirror of configuration `c` for node `i` sits at
+    /// `i * configs + c`.
+    mirrors: &'a mut [MirrorNode],
+    mirror_snapshots: &'a mut [Option<Vec<MirrorNode>>],
+    /// Each configuration's eviction threshold.
+    max_losses: Vec<Option<u32>>,
+    queue: EventQueue<SimEvent>,
+    /// Buffered operations, one list per worker, each in global order.
+    ops: Vec<Vec<Op>>,
+    /// Coordinate lies referenced by the buffered `Respond` operations.
+    lies: Vec<CoordinateLie>,
+    buffered: usize,
+    exchanges: Vec<Exchange>,
+    free_slots: Vec<usize>,
+    cells: Vec<SlotCell>,
+    workers: Vec<Worker>,
+    track_sample: u32,
+    scenario_actions: u64,
+}
+
+impl Planner<'_> {
+    /// Every configuration's mirror of `node`.
+    fn mirrors_of(&mut self, node: usize) -> &mut [MirrorNode] {
+        let configs = self.max_losses.len();
+        // bounds: node < n and the slab holds n * configs mirrors.
+        &mut self.mirrors[node * configs..(node + 1) * configs]
+    }
+
+    /// Queues `op` for `node`'s worker; `peer` names the peer whose loss
+    /// streak the operation may change, for the debug mirror check.
+    fn push(&mut self, node: usize, peer: Option<usize>, op: Op) {
+        let shard = node % self.workers.len();
+        // bounds: shard < workers.len() == ops.len().
+        self.ops[shard].push(op);
+        self.buffered += 1;
+        if cfg!(debug_assertions) && self.workers.len() == 1 {
+            self.flush();
+            self.check_mirrors(node, peer);
+        } else if self.buffered >= BATCH_OPS {
+            self.flush();
+        }
+    }
+
+    /// Runs every buffered operation: on the calling thread for one worker,
+    /// on scoped threads (worker 0 on the calling thread) for more.
+    fn flush(&mut self) {
+        let Planner {
+            ops,
+            lies,
+            buffered,
+            cells,
+            workers,
+            ..
+        } = self;
+        let (lies_ref, cells_ref) = (&*lies, &*cells);
+        let mut shares = workers.iter_mut().zip(ops.iter());
+        if let Some((first, first_ops)) = shares.next() {
+            std::thread::scope(|scope| {
+                for (worker, ops) in shares {
+                    scope.spawn(move || worker.execute(ops, lies_ref, cells_ref));
+                }
+                first.execute(first_ops, lies_ref, cells_ref);
+            });
+        }
+        for list in ops.iter_mut() {
+            list.clear();
+        }
+        lies.clear();
+        *buffered = 0;
+    }
+
+    /// Asserts that every configuration's engine for `node` matches its
+    /// mirror: sequence counter, pending `(seq, target)` list, and the loss
+    /// streak of every peer the mirror tracks plus `peer`. Streaks change
+    /// only in operations that name their peer, so checking that peer after
+    /// every operation covers every streak by induction. Only meaningful
+    /// with one worker, where the engines live in `workers[0]` at their
+    /// global index.
+    fn check_mirrors(&self, node: usize, peer: Option<usize>) {
+        let configs = self.max_losses.len();
+        for (c, run) in self.workers[0].runs.iter().enumerate() {
+            let engine = &run.nodes[node];
+            // bounds: node < n and c < configs.
+            let mirror = &self.mirrors[node * configs + c];
+            let pending = engine.pending_probes().iter().map(|p| (p.seq, p.target));
+            assert!(
+                engine.next_probe_seq() == mirror.probe_seq
+                    && pending.eq(mirror.pending.iter().map(|p| (p.seq, p.target)))
+                    && mirror
+                        .streaks
+                        .iter()
+                        .all(|(id, &streak)| engine.loss_streak(id) == streak)
+                    && peer.is_none_or(|peer| {
+                        engine.loss_streak(&peer) == mirror.streaks.get(&peer).copied().unwrap_or(0)
+                    }),
+                "schedule mirror of node {node} diverged from configuration {c}'s engine"
+            );
+        }
+    }
+
+    /// Takes a free slot (or grows the slab) and records the exchange in it.
+    fn acquire_slot(&mut self, exchange: Exchange) -> usize {
+        match self.free_slots.pop() {
+            Some(slot) => {
+                let epoch = self.exchanges[slot].epoch;
+                self.exchanges[slot] = Exchange { epoch, ..exchange };
+                slot
+            }
+            None => {
+                self.exchanges.push(exchange);
+                self.cells.push(SlotCell::new());
+                self.exchanges.len() - 1
             }
         }
-        for &seed in &set {
-            schedule.neighbor_add(seed, node);
+    }
+
+    /// Runs the event loop from `t = 0` to the configured duration.
+    fn run(&mut self) {
+        let env = self.env;
+        let duration = env.sim_config.duration_s;
+        for &node in env.scenario.initially_down() {
+            self.schedule.alive[node] = false;
         }
-        schedule.neighbor_replace(node, set);
+        for (index, event) in env.scenario.events().iter().enumerate() {
+            if event.at_s < duration {
+                self.queue
+                    .schedule(event.at_s, SimEvent::ScenarioAction { index });
+            }
+        }
+        for src in 0..env.topology.len() {
+            if self.schedule.alive[src] {
+                self.schedule.probe_cycle_active[src] = true;
+                self.queue.schedule(0.0, SimEvent::ProbeSend { src });
+            }
+        }
+        if !env.sim_config.track_nodes.is_empty() {
+            self.queue.schedule(0.0, SimEvent::TrackSample);
+        }
+
+        while let Some((now, event)) = self.queue.pop() {
+            if now >= duration {
+                break;
+            }
+            match event {
+                SimEvent::ProbeSend { src } => self.probe_send(now, src),
+                SimEvent::ProbeDeliver { src, dst, slot } => {
+                    self.probe_deliver(now, src, dst, slot)
+                }
+                SimEvent::ResponseDeliver { src, dst, slot } => {
+                    self.response_deliver(now, src, dst, slot)
+                }
+                SimEvent::ProbeTimeout { src, seq } => self.probe_timeout(src, seq),
+                SimEvent::TrackSample => self.track_sample(now),
+                SimEvent::ScenarioAction { index } => self.scenario_action(now, index),
+            }
+        }
+        self.flush();
     }
-    if !schedule.probe_cycle_active[node] {
-        schedule.probe_cycle_active[node] = true;
-        queue.schedule(now, SimEvent::ProbeSend { src: node });
+
+    fn probe_send(&mut self, now: f64, src: usize) {
+        let env = self.env;
+        // Healed partitions are dead weight for every later crossing check;
+        // prune them as the clock passes their heal time.
+        self.schedule
+            .active_partitions
+            .retain(|window| window.heal_at_s > now);
+        if !self.schedule.alive[src] {
+            // The cycle dies with the node; a restart schedules a new one.
+            self.schedule.probe_cycle_active[src] = false;
+            return;
+        }
+        let next_tick = now + env.sim_config.probe_interval_s;
+        if next_tick < env.sim_config.duration_s {
+            self.queue.schedule(next_tick, SimEvent::ProbeSend { src });
+        } else {
+            self.schedule.probe_cycle_active[src] = false;
+        }
+        let neighbor_count = self.schedule.neighbor_sets[src].len();
+        if neighbor_count == 0 {
+            return;
+        }
+        // bounds: the cursor is reduced modulo neighbor_count == the set's len.
+        let dst = self.schedule.neighbor_sets[src][self.schedule.round_robin[src] % neighbor_count];
+        self.schedule.round_robin[src] = self.schedule.round_robin[src].wrapping_add(1);
+        if dst == src {
+            return;
+        }
+
+        // One raw observation shared by every configuration.
+        let draw = self.schedule.sample_exchange(env, src, dst, now);
+        let now_ms = (now * 1_000.0) as u64;
+        let mut seq = 0;
+        for mirror in self.mirrors_of(src) {
+            seq = mirror.issue(dst);
+        }
+        self.push(
+            src,
+            None,
+            Op::Issue {
+                node: src as u32,
+                dst: dst as u32,
+                now_ms,
+            },
+        );
+        // The timer is armed regardless of the probe's fate — exactly what a
+        // deployed prober would do.
+        self.queue.schedule(
+            now + env.sim_config.probe_timeout_s,
+            SimEvent::ProbeTimeout { src, seq },
+        );
+        if draw.forward_lost || self.schedule.partitioned(src, dst, now) {
+            return;
+        }
+        let slot = self.acquire_slot(Exchange {
+            seq,
+            sent_at_ms: now_ms,
+            rtt_ms: draw.rtt_ms,
+            reverse_delay_s: draw.reverse_delay_s,
+            reverse_lost: draw.reverse_lost,
+            epoch: 0,
+        });
+        self.queue.schedule(
+            now + draw.forward_delay_s,
+            SimEvent::ProbeDeliver { src, dst, slot },
+        );
+    }
+
+    fn probe_deliver(&mut self, now: f64, src: usize, dst: usize, slot: usize) {
+        // A crash between send and delivery silently eats the probe; the
+        // prober's timeout reports the loss.
+        if !self.schedule.alive[dst] || self.schedule.partitioned(src, dst, now) {
+            self.free_slots.push(slot);
+            return;
+        }
+        // An adversarial responder corrupts the reply here: delay attacks
+        // stretch both the observed RTT and the reply's in-flight time (a
+        // held-back reply really is late and can cross the prober's
+        // timeout); a coordinate lie is drawn once and applied identically
+        // to every configuration's response.
+        let adversary = self.schedule.sample_adversary(dst);
+        let exchange = &mut self.exchanges[slot];
+        exchange.epoch += 1;
+        let mut exchange = *exchange;
+        let mut lie = None;
+        if let Some(draw) = adversary {
+            exchange.rtt_ms += draw.extra_delay_ms;
+            exchange.reverse_delay_s += draw.extra_delay_ms / 1_000.0;
+            lie = draw.lie.map(|drawn| {
+                self.lies.push(drawn);
+                (self.lies.len() - 1) as u32
+            });
+        }
+        self.push(
+            dst,
+            None,
+            Op::Respond {
+                dst: dst as u32,
+                slot: slot as u32,
+                epoch: exchange.epoch,
+                lie,
+                publish: !exchange.reverse_lost,
+                seq: exchange.seq,
+                sent_at_ms: exchange.sent_at_ms,
+                rtt_ms: exchange.rtt_ms,
+            },
+        );
+        if exchange.reverse_lost {
+            self.free_slots.push(slot);
+            return;
+        }
+        self.queue.schedule(
+            now + exchange.reverse_delay_s,
+            SimEvent::ResponseDeliver { src, dst, slot },
+        );
+    }
+
+    fn response_deliver(&mut self, now: f64, src: usize, dst: usize, slot: usize) {
+        let env = self.env;
+        let Exchange { seq, epoch, .. } = self.exchanges[slot];
+        self.free_slots.push(slot);
+        // A reply reaching a node that crashed meanwhile is dropped; the
+        // pending entry survives in its crash snapshot and is expired as
+        // lost if the node restarts. A reply crossing a partition that
+        // activated while it was in flight is dropped too — every packet
+        // across the boundary, in both directions, is lost until the heal.
+        if !self.schedule.alive[src] || self.schedule.partitioned(src, dst, now) {
+            let op = Op::Discard {
+                slot: slot as u32,
+                epoch,
+            };
+            self.push(src, None, op);
+            return;
+        }
+        for mirror in self.mirrors_of(src) {
+            mirror.response(dst, seq);
+        }
+        self.push(
+            src,
+            Some(dst),
+            Op::Digest {
+                node: src as u32,
+                slot: slot as u32,
+                epoch,
+                measuring: now >= env.sim_config.measurement_start_s,
+                now,
+            },
+        );
+        // Gossip: the probed node hands back one address from its own
+        // neighbour set; the prober adds it. Identical across
+        // configurations because it only affects the probe schedule.
+        let known = self.schedule.neighbor_sets[dst].len();
+        if env.sim_config.gossip && known > 0 {
+            let idx = self.schedule.protocol_rng.gen_range(0..known);
+            let learned = self.schedule.neighbor_sets[dst][idx];
+            if learned != src {
+                self.schedule.neighbor_add(src, learned);
+            }
+        }
+    }
+
+    fn probe_timeout(&mut self, src: usize, seq: u64) {
+        if !self.schedule.alive[src] {
+            return;
+        }
+        // A peer leaves the shared rotation only once *every*
+        // configuration's engine has evicted it, so the schedule stays
+        // identical across side-by-side stacks.
+        let mut target = None;
+        let mut evicted_by_all = true;
+        for c in 0..self.max_losses.len() {
+            let max_losses = self.max_losses[c];
+            let (lost, evicted) = self.mirrors_of(src)[c].timeout(seq, max_losses);
+            target = lost.or(target);
+            evicted_by_all &= evicted;
+        }
+        self.push(
+            src,
+            target,
+            Op::Timeout {
+                node: src as u32,
+                seq,
+            },
+        );
+        if let (Some(dst), true) = (target, evicted_by_all) {
+            self.schedule.neighbor_remove(src, dst);
+        }
+    }
+
+    fn track_sample(&mut self, now: f64) {
+        let env = self.env;
+        for (order, &node) in env.sim_config.track_nodes.iter().enumerate() {
+            let op = Op::Track {
+                node: node as u32,
+                sample: self.track_sample,
+                order: order as u32,
+                now,
+            };
+            self.push(node, None, op);
+        }
+        self.track_sample += 1;
+        let next = now + env.sim_config.track_interval_s;
+        if next < env.sim_config.duration_s {
+            self.queue.schedule(next, SimEvent::TrackSample);
+        }
+    }
+
+    fn scenario_action(&mut self, now: f64, index: usize) {
+        let env = self.env;
+        self.scenario_actions += 1;
+        match &env.scenario.events()[index].action {
+            ScenarioAction::Join { nodes } => {
+                for &node in nodes {
+                    self.bring_up(now, node, true);
+                }
+            }
+            ScenarioAction::Leave { nodes } => {
+                for &node in nodes {
+                    self.schedule.alive[node] = false;
+                    // A graceful leaver says goodbye: every live node drops
+                    // it from its probe rotation immediately.
+                    for other in 0..self.schedule.neighbor_sets.len() {
+                        self.schedule.neighbor_remove(other, node);
+                    }
+                }
+            }
+            ScenarioAction::Crash { nodes } => {
+                for &node in nodes {
+                    if !self.schedule.alive[node] {
+                        continue;
+                    }
+                    self.schedule.alive[node] = false;
+                    self.mirror_snapshots[node] = Some(self.mirrors_of(node).to_vec());
+                    self.push(node, None, Op::Crash { node: node as u32 });
+                }
+            }
+            ScenarioAction::Restart { nodes } => {
+                for &node in nodes {
+                    self.bring_up(now, node, false);
+                }
+            }
+            ScenarioAction::Partition { group, heal_at_s } => {
+                self.schedule.partition(group, *heal_at_s);
+            }
+            ScenarioAction::PartitionRegions { regions, heal_at_s } => {
+                let group: Vec<usize> = regions
+                    .iter()
+                    .flat_map(|&region| env.topology.nodes_in_region(region))
+                    .collect();
+                self.schedule.partition(&group, *heal_at_s);
+            }
+            ScenarioAction::SetAdversary { nodes, model } => {
+                for &node in nodes {
+                    self.schedule.adversaries[node] = model.clone();
+                }
+            }
+        }
+    }
+
+    /// Brings a down node back up: fresh engines on a join, crash-snapshot
+    /// restores on a restart. Either way its probe cycle resumes
+    /// immediately and any probes outstanding at the crash are expired as
+    /// lost (a rebooted daemon stops waiting for pre-crash replies).
+    fn bring_up(&mut self, now: f64, node: usize, fresh: bool) {
+        if self.schedule.alive[node] {
+            return;
+        }
+        self.schedule.alive[node] = true;
+        // Expiring the probes that were outstanding at the crash can push a
+        // loss streak over the eviction threshold. Those evictions reach the
+        // shared rotation under the same unanimity rule as timeout
+        // evictions — otherwise the revived node keeps probing a peer every
+        // engine already evicted.
+        let snapshot = if fresh {
+            None
+        } else {
+            self.mirror_snapshots[node].take()
+        };
+        let mut evicted_by_all: Option<Vec<usize>> = None;
+        for c in 0..self.max_losses.len() {
+            let mut revived = snapshot
+                .as_ref()
+                .map(|mirrors| mirrors[c].clone())
+                .unwrap_or_default();
+            let evicted = revived.expire_all(self.max_losses[c]);
+            self.mirrors_of(node)[c] = revived;
+            evicted_by_all = Some(match evicted_by_all {
+                None => evicted,
+                Some(previous) => previous
+                    .into_iter()
+                    .filter(|id| evicted.contains(id))
+                    .collect(),
+            });
+        }
+        self.push(
+            node,
+            None,
+            Op::Restore {
+                node: node as u32,
+                fresh,
+                now,
+            },
+        );
+        for target in evicted_by_all.unwrap_or_default() {
+            self.schedule.neighbor_remove(node, target);
+        }
+        if fresh {
+            // A joiner bootstraps a fresh neighbour set of live peers, and
+            // announces itself to them (the membership-file introduction of
+            // the paper's deployments) so the mesh starts probing it back;
+            // gossip spreads its address from there.
+            let schedule = &mut *self.schedule;
+            schedule.round_robin[node] = 0;
+            let n = self.env.topology.len();
+            let live = schedule.alive.iter().filter(|&&up| up).count();
+            let want = self
+                .env
+                .sim_config
+                .initial_neighbors
+                .min(live.saturating_sub(1));
+            let mut set = Vec::new();
+            let mut attempts = 0;
+            while set.len() < want && attempts < n * 16 {
+                attempts += 1;
+                let candidate = schedule.protocol_rng.gen_range(0..n);
+                if candidate != node && schedule.alive[candidate] && !set.contains(&candidate) {
+                    set.push(candidate);
+                }
+            }
+            for &seed in &set {
+                schedule.neighbor_add(seed, node);
+            }
+            schedule.neighbor_replace(node, set);
+        }
+        if !self.schedule.probe_cycle_active[node] {
+            self.schedule.probe_cycle_active[node] = true;
+            self.queue.schedule(now, SimEvent::ProbeSend { src: node });
+        }
     }
 }
 
-fn plan_partition(env: &SimEnv, schedule: &mut ScheduleState, group: &[usize], heal_at_s: f64) {
-    let mut members = vec![false; env.topology.len()];
-    for &node in group {
-        members[node] = true;
-    }
-    schedule
-        .active_partitions
-        .push(PartitionWindow { heal_at_s, members });
+/// Runs the simulation to completion on `workers` workers, leaving `state`
+/// (metrics, engines, schedule, mirrors, crash snapshots, query indexes)
+/// byte-identical whatever the worker count.
+pub(crate) fn run(env: &SimEnv, state: &mut EngineState, workers: usize) {
+    let max_losses = state
+        .runs
+        .iter()
+        .map(|run| run.config.max_consecutive_losses)
+        .collect();
+    let dealt = deal(state, workers);
+    let mut planner = Planner {
+        env,
+        schedule: &mut state.schedule,
+        mirrors: &mut state.mirrors,
+        mirror_snapshots: &mut state.mirror_snapshots,
+        max_losses,
+        queue: EventQueue::new(),
+        ops: (0..workers).map(|_| Vec::new()).collect(),
+        lies: Vec::new(),
+        buffered: 0,
+        exchanges: Vec::new(),
+        free_slots: Vec::new(),
+        cells: Vec::new(),
+        workers: dealt,
+        track_sample: 0,
+        scenario_actions: 0,
+    };
+    planner.run();
+    let (finished, scenario_actions) = (planner.workers, planner.scenario_actions);
+    collect(env, state, finished, scenario_actions);
 }
 
-/// Phase 2: split the engines across workers, run every shard's operation
-/// list in parallel, and reassemble `state` in the original order.
-fn execute_plan(env: &SimEnv, state: &mut EngineState, plan: &Plan, threads: usize) {
-    let n = env.topology.len();
-    let run_count = state.runs.len();
-    let cells: Vec<SlotCell> = (0..plan.slot_count).map(|_| SlotCell::new()).collect();
-
-    // Deal node `i` (engines, metrics, crash snapshots — every
-    // configuration) to worker `i % threads`; local index is `i / threads`.
-    let mut workers: Vec<Worker> = (0..threads)
+/// Deals node `i` (engines, metrics, crash snapshots — every
+/// configuration) to worker `i % workers` at local index `i / workers`.
+/// Worker 0 takes each run's query index; the others start empty slices.
+fn deal(state: &mut EngineState, workers: usize) -> Vec<Worker> {
+    let mut dealt: Vec<Worker> = (0..workers)
         .map(|_| Worker {
-            threads,
-            runs: Vec::with_capacity(run_count),
+            workers,
+            runs: Vec::with_capacity(state.runs.len()),
             events: Vec::new(),
         })
         .collect();
-    for (run_index, run) in state.runs.iter_mut().enumerate() {
-        let nodes = std::mem::take(&mut run.nodes);
-        let metrics = std::mem::take(&mut run.metrics.nodes);
-        let snapshots = std::mem::take(&mut state.crash_snapshots[run_index]);
-        for worker in workers.iter_mut() {
-            worker.runs.push(WorkerRun {
-                config: run.config.clone(),
-                nodes: Vec::with_capacity(n / threads + 1),
-                metrics: Vec::with_capacity(n / threads + 1),
-                snapshots: Vec::with_capacity(n / threads + 1),
-                tracked: Vec::new(),
-                index: run.index.as_ref().map(|index| {
-                    CoordinateIndex::new(index.config().clone())
+    for (run, snapshots) in state.runs.iter_mut().zip(&mut state.crash_snapshots) {
+        let n = run.nodes.len();
+        let index_config = run.index.as_ref().map(|index| index.config().clone());
+        for (w, worker) in dealt.iter_mut().enumerate() {
+            let index = if w == 0 {
+                run.index.take()
+            } else {
+                index_config.clone().map(|config| {
+                    CoordinateIndex::new(config)
                         // nc-lint: allow(panic) — the config validated when
                         // the run's index was built; revalidation is free.
                         .expect("a validated query config rebuilds")
-                }),
+                })
+            };
+            worker.runs.push(WorkerRun {
+                config: run.config.clone(),
+                nodes: Vec::with_capacity(n / workers + 1),
+                metrics: Vec::with_capacity(n / workers + 1),
+                snapshots: Vec::with_capacity(n / workers + 1),
+                tracked: Vec::new(),
+                index,
             });
         }
-        for (i, ((node, metric), snapshot)) in
-            nodes.into_iter().zip(metrics).zip(snapshots).enumerate()
+        let nodes = std::mem::take(&mut run.nodes);
+        let metrics = std::mem::take(&mut run.metrics.nodes);
+        for (i, ((node, metric), snapshot)) in nodes
+            .into_iter()
+            .zip(metrics)
+            .zip(std::mem::take(snapshots))
+            .enumerate()
         {
-            // bounds: i % threads < threads == workers.len().
-            let slot = &mut workers[i % threads].runs[run_index];
-            slot.nodes.push(node);
-            slot.metrics.push(metric);
-            slot.snapshots.push(snapshot);
+            // bounds: i % workers < workers == dealt.len().
+            if let Some(share) = dealt[i % workers].runs.last_mut() {
+                share.nodes.push(node);
+                share.metrics.push(metric);
+                share.snapshots.push(snapshot);
+            }
         }
     }
+    dealt
+}
 
-    let recs = &plan.recs;
-    let cells_ref = &cells;
-    let finished: Vec<Worker> = std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .zip(plan.shard_ops.iter())
-            .map(|(mut worker, ops)| {
-                scope.spawn(move || {
-                    worker.execute(ops, recs, cells_ref);
-                    worker
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // nc-lint: allow(panic) — a panicking worker already poisoned
-            // the run; re-raising it here is the contract.
-            .map(|handle| handle.join().expect("sharded simulation worker panicked"))
-            .collect()
-    });
-
-    // Reassemble in global node order, stitch tracked samples back into the
-    // serial emission order, and restore unclaimed crash snapshots.
-    let mut per_worker: Vec<Vec<WorkerRun>> =
-        finished.into_iter().map(|worker| worker.runs).collect();
-    for run_index in (0..run_count).rev() {
-        let mut shards: Vec<WorkerRun> = per_worker
-            .iter_mut()
-            // nc-lint: allow(panic) — every worker was built with run_count
-            // runs a few lines up; parity is structural.
-            .map(|runs| runs.pop().expect("one WorkerRun per configuration"))
-            .collect();
-        let run = &mut state.runs[run_index];
-        let mut nodes_iters: Vec<_> = Vec::with_capacity(threads);
-        let mut metrics_iters: Vec<_> = Vec::with_capacity(threads);
-        let mut snapshot_iters: Vec<_> = Vec::with_capacity(threads);
-        let mut tracked: Vec<(u32, u32, TrackedCoordinate)> = Vec::new();
-        let mut index_parts: Vec<CoordinateIndex<usize>> = Vec::new();
-        for shard in shards.drain(..) {
-            nodes_iters.push(shard.nodes.into_iter());
-            metrics_iters.push(shard.metrics.into_iter());
-            snapshot_iters.push(shard.snapshots.into_iter());
-            tracked.extend(shard.tracked);
-            index_parts.extend(shard.index);
+/// Reassembles `state` from the workers in global node order, stitches the
+/// tracked samples back into event order and folds the query-index slices
+/// into worker 0's index.
+fn collect(env: &SimEnv, state: &mut EngineState, finished: Vec<Worker>, scenario_actions: u64) {
+    let n = env.topology.len();
+    let workers = finished.len();
+    let mut shares: Vec<std::vec::IntoIter<WorkerRun>> = finished
+        .into_iter()
+        .map(|worker| worker.runs.into_iter())
+        .collect();
+    for (run, snapshots) in state.runs.iter_mut().zip(&mut state.crash_snapshots) {
+        let mut nodes = Vec::new();
+        let mut metrics = Vec::new();
+        let mut snapshot_parts = Vec::new();
+        let mut tracked = Vec::new();
+        for share in shares.iter_mut().filter_map(Iterator::next) {
+            nodes.push(share.nodes.into_iter());
+            metrics.push(share.metrics.into_iter());
+            snapshot_parts.push(share.snapshots.into_iter());
+            tracked.extend(share.tracked);
+            match (&mut run.index, share.index) {
+                (None, index) => run.index = index,
+                (Some(target), Some(part)) => {
+                    for (id, coordinate) in part.iter() {
+                        let _ = target.update(*id, coordinate);
+                    }
+                }
+                (Some(_), None) => {}
+            }
         }
-        let mut nodes = Vec::with_capacity(n);
-        let mut metrics = Vec::with_capacity(n);
-        let mut snapshots = Vec::with_capacity(n);
-        // Shard k holds exactly the nodes `i` with `i % threads == k`, in
-        // ascending order, so draining the iterators round-robin restores
-        // the global node order; running one dry is a planner bug worth
-        // crashing on.
+        // Worker k holds exactly the nodes `i` with `i % workers == k`, in
+        // ascending order, so draining the shares round-robin restores the
+        // global node order.
         for i in 0..n {
-            // bounds: i % threads < threads, one iterator per worker shard.
-            // nc-lint: allow(panic) — structural parity, see loop comment.
-            nodes.push(nodes_iters[i % threads].next().expect("node count parity"));
-            // bounds: i % threads < threads, one iterator per worker shard.
-            // nc-lint: allow(panic) — structural parity, see loop comment.
-            metrics.push(metrics_iters[i % threads].next().expect("metric parity"));
-            // bounds: i % threads < threads, one iterator per worker shard.
-            // nc-lint: allow(panic) — structural parity, see loop comment.
-            snapshots.push(snapshot_iters[i % threads].next().expect("snapshot parity"));
+            // bounds: i % workers < workers, one share per worker.
+            let k = i % workers;
+            run.nodes.extend(nodes[k].next());
+            run.metrics.nodes.extend(metrics[k].next());
+            snapshots.extend(snapshot_parts[k].next());
         }
-        run.nodes = nodes;
-        run.metrics.nodes = metrics;
-        state.crash_snapshots[run_index] = snapshots;
+        debug_assert_eq!(run.nodes.len(), n, "every worker returns its nodes");
         tracked.sort_by_key(|&(sample, order, _)| (sample, order));
         run.metrics
             .tracked
             .extend(tracked.into_iter().map(|(_, _, sample)| sample));
-        run.metrics.scenario_ops += plan.scenario_actions;
-        // Fold the per-worker query-index slices back into the run's index.
-        // Each worker digested a disjoint set of node ids, so the upserts
-        // never collide and the merged contents equal a serial run's
-        // (rebalance counters are layout diagnostics and may differ).
-        if let Some(target) = run.index.as_mut() {
-            for part in &index_parts {
-                for (id, coordinate) in part.iter() {
-                    let _ = target.update(*id, coordinate);
-                }
-            }
-        }
+        run.metrics.scenario_ops += scenario_actions;
     }
 }

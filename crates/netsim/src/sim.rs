@@ -45,21 +45,30 @@
 //! returned [`Event`] stream, exactly as a deployed daemon would consume
 //! them. Timeouts run through [`StableNode::handle_timeout`], the same API a
 //! daemon's timer wheel would call.
+//!
+//! # Execution
+//!
+//! One event loop serves every run: it pops the queue, makes every
+//! schedule decision serially, and buffers the engine calls in bounded
+//! batches for workers that each own a share of the nodes (see
+//! [`Simulator::with_threads`]). The report is byte-identical at every
+//! worker count.
 
 use std::cmp::Ordering;
 
-use nc_proto::{Event, NodeSnapshot, ProbeRequest, ProbeResponse};
+use nc_proto::NodeSnapshot;
 use nc_query::{CoordinateIndex, QueryConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use stable_nc::{FxHashMap, NodeConfig, StableNode};
 
-use crate::adversary::{apply_lie, AdversaryConfig, AdversaryDraw, AdversaryModel};
+use crate::adversary::{AdversaryConfig, AdversaryDraw, AdversaryModel};
 use crate::linkmodel::{LinkModel, LinkModelConfig};
-use crate::metrics::{ConfigMetrics, NodeMetrics, SimReport, TrackedCoordinate};
+use crate::metrics::{ConfigMetrics, SimReport};
 use crate::planetlab::PlanetLabConfig;
-use crate::scenario::{Scenario, ScenarioAction};
+use crate::scenario::Scenario;
+use crate::shard::MirrorNode;
 use crate::topology::Topology;
 
 /// An invalid [`SimConfig`], reported by [`SimConfig::validate`].
@@ -505,41 +514,6 @@ impl<T> EventQueue<T> {
 // Simulator
 // ---------------------------------------------------------------------------
 
-/// What the simulator does when the clock reaches an event.
-///
-/// Per-probe wire payloads live in an index-addressed slab of reusable
-/// buffers ([`ExchangeSlot`]); events carry only the slab index plus plain
-/// scalars, so scheduling and delivering a probe moves a few machine words
-/// through the queue instead of cloning coordinates and messages per event.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SimEvent {
-    /// A node's probe tick: pick the next round-robin target and launch the
-    /// exchange. Reschedules itself every probe interval while the node is
-    /// up.
-    ProbeSend { src: usize },
-    /// A probe reaches its target, which answers it (the reply may then be
-    /// lost on the way back). The per-configuration requests live in the
-    /// exchange slot.
-    ProbeDeliver {
-        src: usize,
-        dst: usize,
-        slot: usize,
-        rtt_ms: f64,
-        reverse_delay_s: f64,
-        reverse_lost: bool,
-    },
-    /// A reply reaches the prober, which digests the observation held in the
-    /// exchange slot.
-    ResponseDeliver { src: usize, dst: usize, slot: usize },
-    /// The prober's timer for one probe fires; a no-op when the reply
-    /// arrived first.
-    ProbeTimeout { src: usize, seq: u64 },
-    /// Sample the tracked nodes' coordinates (Figure 7 trajectories).
-    TrackSample,
-    /// Apply the next scripted scenario action.
-    ScenarioAction { index: usize },
-}
-
 /// One in-run network partition: packets crossing the boundary between
 /// `members` and everyone else are dropped until `heal_at_s`.
 #[derive(Clone)]
@@ -561,17 +535,6 @@ pub(crate) struct ConfigRun {
     pub(crate) index: Option<CoordinateIndex<usize>>,
 }
 
-/// Reusable per-exchange wire buffers: one request and one response per
-/// named configuration. Slots are recycled through a free list and the
-/// vectors (including each response's gossip payload) keep their capacity
-/// across reuses, so the steady-state exchange path performs no heap
-/// allocation.
-#[derive(Default)]
-struct ExchangeSlot {
-    requests: Vec<ProbeRequest<usize>>,
-    responses: Vec<ProbeResponse<usize>>,
-}
-
 /// Everything that stays immutable while a simulation runs: the workload,
 /// the schedule, the ground-truth topology and the scripted scenario.
 /// Shared by reference with every worker thread of a parallel run.
@@ -585,8 +548,8 @@ pub(crate) struct SimEnv {
 /// Protocol-level schedule state: who knows whom, liveness, link models and
 /// the protocol RNG. Probe targets, link draws, gossip picks and scenario
 /// effects are a pure function of this state plus the seeds — never of the
-/// coordinate stacks — which is what lets the per-configuration workers and
-/// the node-sharded executor replay the byte-identical schedule.
+/// coordinate stacks — which is what lets the planner decide it from a
+/// mirror of the engines while the workers run them.
 #[derive(Clone)]
 pub(crate) struct ScheduleState {
     /// Per-link models, keyed by the packed `(lo << 32) | hi` node pair.
@@ -656,10 +619,8 @@ impl ScheduleState {
     /// Draws one full exchange over the (unordered) link `src`–`dst`: the
     /// observed RTT, the per-direction loss decisions and the asymmetric
     /// one-way delays. The ground-truth base RTT is derived from the
-    /// topology **once per link lifetime**, inside the insertion closure —
-    /// no `n × n` matrix is materialised, and the steady-state path is one
-    /// FxHash lookup instead of a guaranteed cache miss into a
-    /// hundreds-of-megabytes matrix row.
+    /// topology **once per link lifetime**, inside the insertion closure, so
+    /// the steady-state path is one FxHash lookup.
     pub(crate) fn sample_exchange(
         &mut self,
         env: &SimEnv,
@@ -706,12 +667,22 @@ impl ScheduleState {
     }
 
     /// Draws the adversarial action for a reply about to be sent by `node`,
-    /// or `None` when the node is honest. Called at probe-delivery time —
-    /// the same point of the schedule in the serial loop and the sharded
-    /// planner — and consumes randomness only for actual adversaries.
+    /// or `None` when the node is honest. Called at probe-delivery time, and
+    /// consumes randomness only for actual adversaries.
     pub(crate) fn sample_adversary(&mut self, node: usize) -> Option<AdversaryDraw> {
         let model = self.adversaries[node].as_ref()?;
         Some(model.draw(&mut self.adversary_rng))
+    }
+
+    /// Starts a partition between `group` and everyone else until
+    /// `heal_at_s`.
+    pub(crate) fn partition(&mut self, group: &[usize], heal_at_s: f64) {
+        let mut members = vec![false; self.alive.len()];
+        for &node in group {
+            members[node] = true;
+        }
+        self.active_partitions
+            .push(PartitionWindow { heal_at_s, members });
     }
 
     /// True when an active partition separates `a` from `b` at `time_s`.
@@ -723,38 +694,32 @@ impl ScheduleState {
 }
 
 /// The mutable half of a simulation: the protocol-level [`ScheduleState`],
-/// the per-configuration node stacks, and the reusable exchange buffers. A
-/// multi-configuration run is parallelised by cloning the schedule state per
-/// configuration — every worker then replays the byte-identical schedule,
-/// because probe targets, link draws and gossip choices never depend on the
-/// coordinate stacks.
+/// the per-configuration node stacks, and the planner's mirror of them.
 pub(crate) struct EngineState {
     pub(crate) schedule: ScheduleState,
     pub(crate) runs: Vec<ConfigRun>,
     /// Per-run, per-node snapshot taken at the instant of a crash, consumed
     /// by a later restart.
     pub(crate) crash_snapshots: Vec<Vec<Option<NodeSnapshot<usize>>>>,
-    slots: Vec<ExchangeSlot>,
-    free_slots: Vec<usize>,
-    /// Reusable engine-event buffer, cleared before every
-    /// `handle_response_into` / `handle_timeout_into` call.
-    events_scratch: Vec<Event<usize>>,
+    /// The schedule-relevant engine state of configuration `c` for node `i`
+    /// at `i * runs.len() + c` (see [`MirrorNode`]).
+    pub(crate) mirrors: Vec<MirrorNode>,
+    /// Every configuration's mirror of a node, taken with its crash
+    /// snapshots.
+    pub(crate) mirror_snapshots: Vec<Option<Vec<MirrorNode>>>,
 }
 
 /// Runs one or more coordinate-stack configurations over a synthetic
 /// workload, optionally under a churn [`Scenario`]. See the
 /// [crate-level documentation](crate) for an example.
 ///
-/// Multi-configuration runs execute the configurations **in parallel**, one
-/// OS thread per named configuration (`std::thread::scope`), whenever their
-/// eviction thresholds agree — the only knob through which a coordinate
-/// stack can influence the shared probe schedule. The resulting
-/// [`SimReport`] is byte-identical to a serial run (verified by the
-/// regression suite; see [`Simulator::with_serial_execution`]).
+/// One event loop plans every run and hands the engine work, in bounded
+/// batches, to workers that each own a share of the nodes (see
+/// [`Simulator::with_threads`]). The resulting [`SimReport`] is
+/// byte-identical at every worker count.
 pub struct Simulator {
     env: SimEnv,
     state: EngineState,
-    force_serial: bool,
     threads: Option<usize>,
 }
 
@@ -900,11 +865,9 @@ impl Simulator {
                 },
                 runs,
                 crash_snapshots: vec![vec![None; n]; run_count],
-                slots: Vec::new(),
-                free_slots: Vec::new(),
-                events_scratch: Vec::new(),
+                mirrors: vec![MirrorNode::default(); n * run_count],
+                mirror_snapshots: vec![None; n],
             },
-            force_serial: false,
             threads: None,
         }
     }
@@ -928,31 +891,18 @@ impl Simulator {
         self
     }
 
-    /// Forces single-threaded execution even for multi-configuration runs.
+    /// Runs this simulation's engine work on `threads` workers. Worker `w`
+    /// owns node `i` when `i % threads == w`, across every configuration,
+    /// and the [`SimReport`] is byte-identical at every count.
     ///
-    /// The parallel per-configuration path produces a byte-identical
-    /// [`SimReport`] (each configuration's schedule and observation stream
-    /// is independent, and the regression suite asserts equality); this
-    /// knob exists so tests and debugging sessions can compare the two
-    /// execution modes directly.
-    pub fn with_serial_execution(mut self, serial: bool) -> Self {
-        self.force_serial = serial;
-        self
-    }
-
-    /// Shards this simulation's event processing across `threads` worker
-    /// threads (node-sharded: engine work for node `i` runs on worker
-    /// `i % threads`), producing a [`SimReport`] byte-identical to serial
-    /// execution.
-    ///
-    /// The schedule itself (probe targets, link draws, losses, gossip,
-    /// scenario effects) is always replayed serially — it is cheap and
-    /// inherently sequential through the protocol RNG — while the expensive
-    /// engine work (coordinate updates, filters, response digestion) fans
-    /// out. `threads = 1` still exercises the plan/execute split on a single
-    /// worker. Requires uniform eviction thresholds across configurations;
-    /// otherwise, and under [`Simulator::with_serial_execution`], the run
-    /// falls back to the engine-driven serial path.
+    /// The schedule (probe targets, link draws, losses, gossip, scenario
+    /// effects) is always decided by one serial event loop — it is cheap and
+    /// inherently sequential through the protocol RNG — which buffers the
+    /// engine work (coordinate updates, filters, response digestion) in
+    /// bounded batches. One worker runs each batch on the calling thread;
+    /// more run it on scoped threads. Without this call a run uses
+    /// `min(configurations, available cores)` workers, so a
+    /// single-configuration run stays on the calling thread.
     ///
     /// # Panics
     ///
@@ -1004,55 +954,14 @@ impl Simulator {
     }
 
     /// Runs the simulation to completion and returns the collected metrics.
-    ///
-    /// A run with several named configurations whose eviction thresholds
-    /// agree executes one worker thread per configuration; otherwise (or
-    /// after [`Simulator::with_serial_execution`]) all configurations are
-    /// interleaved on the calling thread. Both paths produce the identical
-    /// report.
     pub fn run(&mut self) -> SimReport {
-        // The only way a coordinate stack can influence the shared probe
-        // schedule is eviction. With matching thresholds every configuration
-        // evicts on the same timeout, so per-configuration workers replay
-        // the byte-identical schedule; with differing thresholds the serial
-        // path's unanimity rule is required.
-        let uniform_eviction = self.state.runs.windows(2).all(|pair| {
-            pair[0].config.max_consecutive_losses == pair[1].config.max_consecutive_losses
+        let threads = self.threads.unwrap_or_else(|| {
+            let cores = std::thread::available_parallelism().map_or(1, usize::from);
+            self.state.runs.len().min(cores)
         });
-        if let Some(threads) = self
-            .threads
-            .filter(|_| uniform_eviction && !self.force_serial)
-        {
-            crate::shard::run_sharded(&self.env, &mut self.state, threads);
-        } else if self.state.runs.len() > 1 && uniform_eviction && !self.force_serial {
-            let env = &self.env;
-            let state = std::mem::replace(&mut self.state, EngineState::placeholder());
-            let workers = state.split_per_config();
-            let finished: Vec<EngineState> = std::thread::scope(|scope| {
-                let handles: Vec<_> = workers
-                    .into_iter()
-                    .map(|mut worker| {
-                        scope.spawn(move || {
-                            worker.run_to_completion(env);
-                            worker
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // nc-lint: allow(panic) — a panicking worker already
-                    // poisoned the run; re-raising it here is the contract.
-                    .map(|handle| handle.join().expect("simulation worker panicked"))
-                    .collect()
-            });
-            self.state = EngineState::merge(finished);
-        } else {
-            self.state.run_to_completion(&self.env);
-        }
+        crate::shard::run(&self.env, &mut self.state, threads);
 
-        // Results merge in the stable configuration order (the report's
-        // serialization sorts by name), so parallel and serial runs encode
-        // identically.
+        // The report's serialization sorts configurations by name.
         let mut configs = FxHashMap::default();
         for run in &self.state.runs {
             configs.insert(run.name.clone(), run.metrics.clone());
@@ -1062,633 +971,6 @@ impl Simulator {
             self.env.sim_config.duration_s,
             self.env.sim_config.measurement_start_s,
         )
-    }
-}
-
-/// Feeds a run's optional coordinate query index from one engine event
-/// stream: every `ApplicationUpdated` upserts the publishing node's new
-/// application coordinate. Both executors (the serial event loop and the
-/// node-sharded planner) call this from their response-digest step — the
-/// only place the engines publish coordinates — so the final index contents
-/// are identical across execution modes.
-pub(crate) fn feed_query_index(
-    index: Option<&mut CoordinateIndex<usize>>,
-    node: usize,
-    events: &[Event<usize>],
-) {
-    let Some(index) = index else {
-        return;
-    };
-    for event in events {
-        if let Event::ApplicationUpdated { update } = event {
-            // The engine only publishes finite coordinates of the
-            // dimensionality the index was sized for, so this cannot fail.
-            let _ = index.update(node, &update.current);
-        }
-    }
-}
-
-/// Folds one engine event stream into a node's metric accumulators.
-/// Losses are counted over the whole run (a dead link produces nothing
-/// to gate a measurement window on); everything else respects the
-/// warm-up exclusion.
-pub(crate) fn fold_events(
-    metrics: &mut NodeMetrics,
-    time_s: f64,
-    measuring: bool,
-    events: &[Event<usize>],
-) {
-    for event in events {
-        match event {
-            Event::SystemMoved {
-                displacement_ms,
-                relative_error,
-                application_relative_error,
-                ..
-            } if measuring => {
-                metrics.system_errors.push((time_s, *relative_error));
-                metrics
-                    .application_errors
-                    .push((time_s, *application_relative_error));
-                if *displacement_ms > 0.0 {
-                    metrics
-                        .system_displacements
-                        .push((time_s, *displacement_ms));
-                }
-            }
-            Event::ApplicationUpdated { update } if measuring => {
-                metrics
-                    .application_displacements
-                    .push((time_s, update.displacement_ms));
-            }
-            Event::ProbeLost { .. } => {
-                metrics.probes_lost += 1;
-            }
-            Event::ResponseIgnored { .. } => {
-                metrics.responses_ignored += 1;
-            }
-            Event::ObservationRejected { .. } => {
-                metrics.observations_rejected += 1;
-            }
-            Event::NeighborEvicted { .. } => {
-                metrics.neighbors_evicted += 1;
-            }
-            _ => {}
-        }
-    }
-}
-
-impl EngineState {
-    /// An empty state used only as the `mem::replace` placeholder while the
-    /// real state is split across worker threads.
-    fn placeholder() -> Self {
-        EngineState {
-            schedule: ScheduleState {
-                links: FxHashMap::default(),
-                link_config: LinkModelConfig::default(),
-                neighbor_sets: Vec::new(),
-                neighbor_bits: Vec::new(),
-                round_robin: Vec::new(),
-                protocol_rng: StdRng::seed_from_u64(0),
-                alive: Vec::new(),
-                probe_cycle_active: Vec::new(),
-                active_partitions: Vec::new(),
-                adversaries: Vec::new(),
-                adversary_rng: StdRng::seed_from_u64(0),
-            },
-            runs: Vec::new(),
-            crash_snapshots: Vec::new(),
-            slots: Vec::new(),
-            free_slots: Vec::new(),
-            events_scratch: Vec::new(),
-        }
-    }
-
-    /// Splits a multi-configuration state into one single-configuration
-    /// worker per run. Schedule state (neighbour sets, RNG, liveness) is
-    /// cloned — it is a pure function of the seeds and the scenario, never
-    /// of the coordinate stacks — while the node stacks move.
-    fn split_per_config(self) -> Vec<EngineState> {
-        let EngineState {
-            schedule,
-            runs,
-            crash_snapshots,
-            ..
-        } = self;
-        runs.into_iter()
-            .zip(crash_snapshots)
-            .map(|(run, snapshots)| EngineState {
-                schedule: schedule.clone(),
-                runs: vec![run],
-                crash_snapshots: vec![snapshots],
-                slots: Vec::new(),
-                free_slots: Vec::new(),
-                events_scratch: Vec::new(),
-            })
-            .collect()
-    }
-
-    /// Reassembles the post-run state from per-configuration workers: the
-    /// runs concatenate in their original order; the schedule state is taken
-    /// from the first worker (every worker ends with the identical
-    /// schedule).
-    fn merge(mut workers: Vec<EngineState>) -> EngineState {
-        let mut merged = workers.remove(0);
-        for worker in workers {
-            merged.runs.extend(worker.runs);
-            merged.crash_snapshots.extend(worker.crash_snapshots);
-        }
-        merged
-    }
-
-    /// Pops a free exchange slot or grows the slab by one.
-    fn acquire_slot(&mut self) -> usize {
-        match self.free_slots.pop() {
-            Some(index) => index,
-            None => {
-                self.slots.push(ExchangeSlot::default());
-                self.slots.len() - 1
-            }
-        }
-    }
-
-    /// Returns a slot (and its buffers' capacity) to the free list.
-    fn release_slot(&mut self, index: usize) {
-        self.free_slots.push(index);
-    }
-
-    /// Drives the event loop from `t = 0` to the configured duration.
-    fn run_to_completion(&mut self, env: &SimEnv) {
-        let duration = env.sim_config.duration_s;
-        let mut queue: EventQueue<SimEvent> = EventQueue::new();
-
-        for &node in env.scenario.initially_down() {
-            self.schedule.alive[node] = false;
-        }
-        for (index, event) in env.scenario.events().iter().enumerate() {
-            if event.at_s < duration {
-                queue.schedule(event.at_s, SimEvent::ScenarioAction { index });
-            }
-        }
-        for src in 0..env.topology.len() {
-            if self.schedule.alive[src] {
-                self.schedule.probe_cycle_active[src] = true;
-                queue.schedule(0.0, SimEvent::ProbeSend { src });
-            }
-        }
-        if !env.sim_config.track_nodes.is_empty() {
-            queue.schedule(0.0, SimEvent::TrackSample);
-        }
-
-        while let Some((now, event)) = queue.pop() {
-            if now >= duration {
-                break;
-            }
-            match event {
-                SimEvent::ProbeSend { src } => self.on_probe_send(env, now, src, &mut queue),
-                SimEvent::ProbeDeliver {
-                    src,
-                    dst,
-                    slot,
-                    rtt_ms,
-                    reverse_delay_s,
-                    reverse_lost,
-                } => self.on_probe_deliver(
-                    now,
-                    src,
-                    dst,
-                    slot,
-                    rtt_ms,
-                    reverse_delay_s,
-                    reverse_lost,
-                    &mut queue,
-                ),
-                SimEvent::ResponseDeliver { src, dst, slot } => {
-                    self.on_response_deliver(env, now, src, dst, slot)
-                }
-                SimEvent::ProbeTimeout { src, seq } => self.on_probe_timeout(src, seq),
-                SimEvent::TrackSample => self.on_track_sample(env, now, &mut queue),
-                SimEvent::ScenarioAction { index } => self.on_scenario(env, now, index, &mut queue),
-            }
-        }
-    }
-
-    fn on_probe_send(
-        &mut self,
-        env: &SimEnv,
-        now: f64,
-        src: usize,
-        queue: &mut EventQueue<SimEvent>,
-    ) {
-        // Healed partitions are dead weight for every later crossing check;
-        // prune them as the clock passes their heal time.
-        self.schedule
-            .active_partitions
-            .retain(|window| window.heal_at_s > now);
-        if !self.schedule.alive[src] {
-            // The cycle dies with the node; a restart schedules a new one.
-            self.schedule.probe_cycle_active[src] = false;
-            return;
-        }
-        let next_tick = now + env.sim_config.probe_interval_s;
-        if next_tick < env.sim_config.duration_s {
-            queue.schedule(next_tick, SimEvent::ProbeSend { src });
-        } else {
-            self.schedule.probe_cycle_active[src] = false;
-        }
-
-        let neighbor_count = self.schedule.neighbor_sets[src].len();
-        if neighbor_count == 0 {
-            return;
-        }
-        // bounds: the cursor is reduced modulo neighbor_count == the set's len.
-        let dst = self.schedule.neighbor_sets[src][self.schedule.round_robin[src] % neighbor_count];
-        self.schedule.round_robin[src] = self.schedule.round_robin[src].wrapping_add(1);
-        if dst == src {
-            return;
-        }
-
-        // One raw observation shared by every configuration; the requests go
-        // into a reused exchange slot, not a fresh allocation.
-        let draw = self.schedule.sample_exchange(env, src, dst, now);
-        let now_ms = (now * 1_000.0) as u64;
-        let slot = self.acquire_slot();
-        let seq = {
-            let slot_buffers = &mut self.slots[slot];
-            slot_buffers.requests.clear();
-            for run in self.runs.iter_mut() {
-                slot_buffers
-                    .requests
-                    .push(run.nodes[src].probe_request_for(dst, now_ms));
-                run.metrics.nodes[src].probes_sent += 1;
-            }
-            slot_buffers.requests[0].seq
-        };
-
-        // The timer is armed regardless of the probe's fate — exactly what a
-        // deployed prober would do.
-        queue.schedule(
-            now + env.sim_config.probe_timeout_s,
-            SimEvent::ProbeTimeout { src, seq },
-        );
-
-        if draw.forward_lost || self.schedule.partitioned(src, dst, now) {
-            self.release_slot(slot);
-            return;
-        }
-        queue.schedule(
-            now + draw.forward_delay_s,
-            SimEvent::ProbeDeliver {
-                src,
-                dst,
-                slot,
-                rtt_ms: draw.rtt_ms,
-                reverse_delay_s: draw.reverse_delay_s,
-                reverse_lost: draw.reverse_lost,
-            },
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)] // one event's full wire context; a struct would be unpacked on the next line
-    fn on_probe_deliver(
-        &mut self,
-        now: f64,
-        src: usize,
-        dst: usize,
-        slot: usize,
-        rtt_ms: f64,
-        reverse_delay_s: f64,
-        reverse_lost: bool,
-        queue: &mut EventQueue<SimEvent>,
-    ) {
-        // A crash between send and delivery silently eats the probe; the
-        // prober's timeout reports the loss.
-        if !self.schedule.alive[dst] || self.schedule.partitioned(src, dst, now) {
-            self.release_slot(slot);
-            return;
-        }
-        // An adversarial responder corrupts the reply here, in the shared
-        // schedule: delay attacks stretch both the observed RTT and the
-        // reply's in-flight time (a held-back reply really is late and can
-        // cross the prober's timeout), coordinate lies are drawn once and
-        // applied identically to every configuration's response below. The
-        // sharded planner draws at the exact same point of the schedule.
-        let adversary = self.schedule.sample_adversary(dst);
-        let (rtt_ms, reverse_delay_s) = match &adversary {
-            Some(draw) => (
-                rtt_ms + draw.extra_delay_ms,
-                reverse_delay_s + draw.extra_delay_ms / 1_000.0,
-            ),
-            None => (rtt_ms, reverse_delay_s),
-        };
-        let lie = adversary.and_then(|draw| draw.lie);
-        {
-            let slot_buffers = &mut self.slots[slot];
-            for (index, run) in self.runs.iter_mut().enumerate() {
-                // First uses of a slot grow the response vector; afterwards
-                // the existing message (and its gossip buffer) is rewritten
-                // in place.
-                if slot_buffers.responses.len() <= index {
-                    let response = run.nodes[dst].respond(&slot_buffers.requests[index]);
-                    slot_buffers.responses.push(response);
-                } else {
-                    run.nodes[dst].respond_into(
-                        &slot_buffers.requests[index],
-                        &mut slot_buffers.responses[index],
-                    );
-                }
-                slot_buffers.responses[index].rtt_ms = rtt_ms;
-                if let Some(lie) = &lie {
-                    apply_lie(&mut slot_buffers.responses[index], lie);
-                }
-            }
-        }
-        if reverse_lost {
-            self.release_slot(slot);
-            return;
-        }
-        queue.schedule(
-            now + reverse_delay_s,
-            SimEvent::ResponseDeliver { src, dst, slot },
-        );
-    }
-
-    fn on_response_deliver(&mut self, env: &SimEnv, now: f64, src: usize, dst: usize, slot: usize) {
-        // A reply reaching a node that crashed meanwhile is dropped; the
-        // pending entry survives in its crash snapshot and is expired as
-        // lost if the node restarts. A reply crossing a partition that
-        // activated while it was in flight is dropped too — every packet
-        // across the boundary, in both directions, is lost until the heal.
-        if !self.schedule.alive[src] || self.schedule.partitioned(src, dst, now) {
-            self.release_slot(slot);
-            return;
-        }
-        let measuring = now >= env.sim_config.measurement_start_s;
-        {
-            let EngineState {
-                runs,
-                slots,
-                events_scratch,
-                ..
-            } = self;
-            for (run, response) in runs.iter_mut().zip(slots[slot].responses.iter()) {
-                events_scratch.clear();
-                run.nodes[src].handle_response_into(response, events_scratch);
-                // A reply the engine refused to correlate (it raced its own
-                // timeout, or the peer was evicted meanwhile) is not an
-                // observation — it was already accounted as a loss.
-                let ignored = events_scratch
-                    .iter()
-                    .any(|event| matches!(event, Event::ResponseIgnored { .. }));
-                let node_metrics = &mut run.metrics.nodes[src];
-                if !ignored {
-                    node_metrics.responses_received += 1;
-                    if measuring {
-                        node_metrics.observations += 1;
-                    }
-                }
-                fold_events(node_metrics, now, measuring, events_scratch);
-                feed_query_index(run.index.as_mut(), src, events_scratch);
-            }
-        }
-        self.release_slot(slot);
-
-        // Gossip: the probed node hands back one address from its own
-        // neighbour set; the prober adds it. Identical across
-        // configurations because it only affects the probe schedule.
-        if env.sim_config.gossip && !self.schedule.neighbor_sets[dst].is_empty() {
-            let idx = self
-                .schedule
-                .protocol_rng
-                .gen_range(0..self.schedule.neighbor_sets[dst].len());
-            let learned = self.schedule.neighbor_sets[dst][idx];
-            if learned != src {
-                self.schedule.neighbor_add(src, learned);
-            }
-        }
-    }
-
-    fn on_probe_timeout(&mut self, src: usize, seq: u64) {
-        if !self.schedule.alive[src] {
-            return;
-        }
-        // When a configuration's engine evicts the unresponsive peer
-        // (`NodeConfig::max_consecutive_losses`), the shared probe rotation
-        // honours it — but only once *every* configuration has evicted, so
-        // the schedule stays identical across side-by-side stacks. With
-        // matching eviction thresholds (the usual case) they all fire on
-        // the same timeout.
-        let mut target = None;
-        let mut evicted_by_all = true;
-        {
-            let EngineState {
-                runs,
-                events_scratch,
-                ..
-            } = self;
-            for run in runs.iter_mut() {
-                events_scratch.clear();
-                run.nodes[src].handle_timeout_into(seq, events_scratch);
-                let mut evicted_here = false;
-                for event in events_scratch.iter() {
-                    match event {
-                        Event::ProbeLost { id, .. } => target = Some(*id),
-                        Event::NeighborEvicted { .. } => evicted_here = true,
-                        _ => {}
-                    }
-                }
-                fold_events(&mut run.metrics.nodes[src], 0.0, false, events_scratch);
-                evicted_by_all &= evicted_here;
-            }
-        }
-        if evicted_by_all {
-            if let Some(dst) = target {
-                self.schedule.neighbor_remove(src, dst);
-            }
-        }
-    }
-
-    fn on_track_sample(&mut self, env: &SimEnv, now: f64, queue: &mut EventQueue<SimEvent>) {
-        for run in &mut self.runs {
-            for &node in &env.sim_config.track_nodes {
-                run.metrics.tracked.push(TrackedCoordinate {
-                    time_s: now,
-                    node,
-                    system: run.nodes[node].system_coordinate().clone(),
-                    application: run.nodes[node].application_coordinate().clone(),
-                });
-            }
-        }
-        let next = now + env.sim_config.track_interval_s;
-        if next < env.sim_config.duration_s {
-            queue.schedule(next, SimEvent::TrackSample);
-        }
-    }
-
-    fn on_scenario(
-        &mut self,
-        env: &SimEnv,
-        now: f64,
-        index: usize,
-        queue: &mut EventQueue<SimEvent>,
-    ) {
-        let action = env.scenario.events()[index].action.clone();
-        for run in &mut self.runs {
-            run.metrics.scenario_ops += 1;
-        }
-        match action {
-            ScenarioAction::Join { nodes } => {
-                for node in nodes {
-                    self.bring_up(env, now, node, true, queue);
-                }
-            }
-            ScenarioAction::Leave { nodes } => {
-                for node in nodes {
-                    self.schedule.alive[node] = false;
-                    // A graceful leaver says goodbye: every live node drops
-                    // it from its probe rotation immediately.
-                    for other in 0..self.schedule.neighbor_sets.len() {
-                        self.schedule.neighbor_remove(other, node);
-                    }
-                }
-            }
-            ScenarioAction::Crash { nodes } => {
-                for node in nodes {
-                    if !self.schedule.alive[node] {
-                        continue;
-                    }
-                    self.schedule.alive[node] = false;
-                    for run_index in 0..self.runs.len() {
-                        let snapshot = self.runs[run_index].nodes[node].snapshot();
-                        self.crash_snapshots[run_index][node] = Some(snapshot);
-                    }
-                }
-            }
-            ScenarioAction::Restart { nodes } => {
-                for node in nodes {
-                    self.bring_up(env, now, node, false, queue);
-                }
-            }
-            ScenarioAction::Partition { group, heal_at_s } => {
-                self.start_partition(env, &group, heal_at_s);
-            }
-            ScenarioAction::PartitionRegions { regions, heal_at_s } => {
-                let group: Vec<usize> = regions
-                    .iter()
-                    .flat_map(|&region| env.topology.nodes_in_region(region))
-                    .collect();
-                self.start_partition(env, &group, heal_at_s);
-            }
-            ScenarioAction::SetAdversary { nodes, model } => {
-                for node in nodes {
-                    self.schedule.adversaries[node] = model.clone();
-                }
-            }
-        }
-    }
-
-    fn start_partition(&mut self, env: &SimEnv, group: &[usize], heal_at_s: f64) {
-        let mut members = vec![false; env.topology.len()];
-        for &node in group {
-            members[node] = true;
-        }
-        self.schedule
-            .active_partitions
-            .push(PartitionWindow { heal_at_s, members });
-    }
-
-    /// Brings a down node back up: fresh engines on a join, crash-snapshot
-    /// restores on a restart. Either way its probe cycle resumes
-    /// immediately and any probes outstanding at the crash are expired as
-    /// lost (a rebooted daemon stops waiting for pre-crash replies).
-    fn bring_up(
-        &mut self,
-        env: &SimEnv,
-        now: f64,
-        node: usize,
-        fresh: bool,
-        queue: &mut EventQueue<SimEvent>,
-    ) {
-        if self.schedule.alive[node] {
-            return;
-        }
-        self.schedule.alive[node] = true;
-        let now_ms = (now * 1_000.0) as u64;
-        // Expiring the probes that were outstanding at the crash can push a
-        // loss streak over the eviction threshold. Those evictions must reach
-        // the shared probe rotation under the same unanimity rule as timeout
-        // evictions — otherwise the revived node keeps probing a peer every
-        // engine already evicted, and its losses diverge from a deployment.
-        let mut evicted_by_all: Option<Vec<usize>> = None;
-        for run_index in 0..self.runs.len() {
-            let snapshot = if fresh {
-                None
-            } else {
-                self.crash_snapshots[run_index][node].take()
-            };
-            let run = &mut self.runs[run_index];
-            let mut revived = match snapshot {
-                Some(snapshot) => StableNode::restore(run.config.clone(), &snapshot)
-                    // nc-lint: allow(panic) — restoring a snapshot this run
-                    // took under the same config cannot fail; it is a sim bug.
-                    .expect("a crash snapshot restores under its own configuration"),
-                None => StableNode::new(run.config.clone()),
-            };
-            let events = revived.expire_pending(now_ms, 0);
-            let evicted_here: Vec<usize> = events
-                .iter()
-                .filter_map(|event| match event {
-                    Event::NeighborEvicted { id } => Some(*id),
-                    _ => None,
-                })
-                .collect();
-            evicted_by_all = Some(match evicted_by_all {
-                None => evicted_here,
-                Some(previous) => previous
-                    .into_iter()
-                    .filter(|id| evicted_here.contains(id))
-                    .collect(),
-            });
-            fold_events(&mut run.metrics.nodes[node], now, false, &events);
-            run.nodes[node] = revived;
-        }
-        for target in evicted_by_all.unwrap_or_default() {
-            self.schedule.neighbor_remove(node, target);
-        }
-        if fresh {
-            // A joiner bootstraps a fresh neighbour set of live peers, and
-            // announces itself to them (the membership-file introduction of
-            // the paper's deployments) so the mesh starts probing it back;
-            // gossip spreads its address from there.
-            self.schedule.round_robin[node] = 0;
-            let n = env.topology.len();
-            let want = env.sim_config.initial_neighbors.min(
-                self.schedule
-                    .alive
-                    .iter()
-                    .filter(|&&up| up)
-                    .count()
-                    .saturating_sub(1),
-            );
-            let mut set = Vec::new();
-            let mut attempts = 0;
-            while set.len() < want && attempts < n * 16 {
-                attempts += 1;
-                let candidate = self.schedule.protocol_rng.gen_range(0..n);
-                if candidate != node && self.schedule.alive[candidate] && !set.contains(&candidate)
-                {
-                    set.push(candidate);
-                }
-            }
-            for &seed in &set {
-                self.schedule.neighbor_add(seed, node);
-            }
-            self.schedule.neighbor_replace(node, set);
-        }
-        if !self.schedule.probe_cycle_active[node] {
-            self.schedule.probe_cycle_active[node] = true;
-            queue.schedule(now, SimEvent::ProbeSend { src: node });
-        }
     }
 }
 
@@ -1705,6 +987,7 @@ pub(crate) struct LinkDraw {
 mod tests {
     use super::*;
     use crate::linkmodel::LinkModelConfig;
+    use crate::scenario::ScenarioAction;
     use stable_nc::NodeConfig;
 
     fn quick_sim(configs: Vec<(String, NodeConfig)>) -> SimReport {

@@ -233,70 +233,6 @@ impl Topology {
         let mut rng = StdRng::seed_from_u64(self.seed ^ pair.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         rand_ext::normal(&mut rng, 0.0, 3.0).abs()
     }
-
-    /// The full symmetric base-RTT matrix (diagonal zero). Useful for
-    /// experiments that want a ground truth to compare embeddings against,
-    /// and used by the simulator hot path so per-probe lookups are one
-    /// row-major index instead of a re-derivation from node placements.
-    pub fn base_rtt_matrix(&self) -> RttMatrix {
-        let n = self.len();
-        let mut data = vec![0.0; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let rtt = self.base_rtt_ms(i, j);
-                data[i * n + j] = rtt;
-                data[j * n + i] = rtt;
-            }
-        }
-        RttMatrix { n, data }
-    }
-}
-
-/// A dense, row-major `n × n` matrix of base round-trip times, indexed by
-/// `(a, b)` node-index pairs. Flat storage keeps the simulator's per-probe
-/// lookup a single multiply-add away from contiguous memory rather than a
-/// pointer chase through `Vec<Vec<f64>>` rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RttMatrix {
-    n: usize,
-    data: Vec<f64>,
-}
-
-impl RttMatrix {
-    /// Number of nodes (the matrix is `len × len`).
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the matrix has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The base RTT between `a` and `b` in milliseconds (zero on the
-    /// diagonal).
-    ///
-    /// # Panics
-    ///
-    /// Panics when either index is out of range.
-    pub fn get(&self, a: usize, b: usize) -> f64 {
-        assert!(a < self.n && b < self.n, "index out of range");
-        self.data[a * self.n + b]
-    }
-
-    /// The flat row-major backing storage, row `a` at `a * len()`.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-}
-
-impl std::ops::Index<(usize, usize)> for RttMatrix {
-    type Output = f64;
-
-    fn index(&self, (a, b): (usize, usize)) -> &f64 {
-        assert!(a < self.n && b < self.n, "index out of range");
-        &self.data[a * self.n + b]
-    }
 }
 
 #[cfg(test)]
@@ -360,33 +296,6 @@ mod tests {
             );
         }
         assert_eq!(t.len(), 269);
-    }
-
-    #[test]
-    fn rtt_matrix_matches_pairwise_calls() {
-        let t = Topology::generate(10, 5);
-        let m = t.base_rtt_matrix();
-        assert_eq!(m.len(), 10);
-        assert!(!m.is_empty());
-        for i in 0..t.len() {
-            assert_eq!(m[(i, i)], 0.0);
-            for j in 0..t.len() {
-                if i != j {
-                    assert_eq!(m[(i, j)], t.base_rtt_ms(i, j));
-                    assert_eq!(m[(i, j)], m[(j, i)]);
-                    assert_eq!(m.get(i, j), m[(i, j)]);
-                }
-            }
-        }
-        // Row-major layout: row i starts at i * n.
-        assert_eq!(m.as_slice()[3 * m.len() + 7], m[(3, 7)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "index out of range")]
-    fn rtt_matrix_bounds_are_checked() {
-        let m = Topology::generate(4, 5).base_rtt_matrix();
-        let _ = m[(0, 4)];
     }
 
     #[test]

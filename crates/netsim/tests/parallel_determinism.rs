@@ -1,9 +1,9 @@
-//! Regression suite for the parallel multi-configuration execution path:
-//! running each named configuration on its own worker thread must produce a
-//! `SimReport` that is **byte-identical** (serialized form) to the
-//! single-threaded interleaved run. This is the guarantee that lets the
-//! simulator parallelise the paper's side-by-side methodology without
-//! changing a single number in any figure.
+//! Regression suite for multi-configuration runs: spreading the engine work
+//! of several side-by-side configurations over 2, 3 or 4 workers (and over
+//! the default worker count) must produce a `SimReport` that is
+//! **byte-identical** (serialized form) to the one-worker run. This is the
+//! guarantee that lets the simulator parallelise the paper's side-by-side
+//! methodology without changing a single number in any figure.
 
 use nc_netsim::linkmodel::LinkModelConfig;
 use nc_netsim::planetlab::PlanetLabConfig;
@@ -13,6 +13,18 @@ use stable_nc::NodeConfig;
 
 fn encode(simulator: &mut Simulator) -> String {
     serde::json::to_string(&simulator.run())
+}
+
+/// Byte-compares the default worker count and 2, 3 and 4 workers against
+/// one worker.
+fn assert_worker_counts_agree(build: &dyn Fn() -> Simulator) {
+    let one = encode(&mut build().with_threads(1));
+    assert!(!one.is_empty());
+    assert_eq!(encode(&mut build()), one, "default worker count diverged");
+    for threads in [2, 3, 4] {
+        let many = encode(&mut build().with_threads(threads));
+        assert_eq!(many, one, "{threads} workers diverged from one");
+    }
 }
 
 fn two_config_setup(loss: f64) -> (PlanetLabConfig, SimConfig, Vec<(String, NodeConfig)>) {
@@ -33,26 +45,17 @@ fn two_config_setup(loss: f64) -> (PlanetLabConfig, SimConfig, Vec<(String, Node
 #[test]
 fn parallel_report_is_byte_identical_to_serial() {
     let (workload, sim_config, configs) = two_config_setup(0.0);
-    let parallel = encode(&mut Simulator::new(
-        workload.clone(),
-        sim_config.clone(),
-        configs.clone(),
-    ));
-    let serial =
-        encode(&mut Simulator::new(workload, sim_config, configs).with_serial_execution(true));
-    assert!(!parallel.is_empty());
-    assert_eq!(
-        parallel, serial,
-        "parallel and serial multi-config runs must encode identically"
-    );
+    assert_worker_counts_agree(&|| {
+        Simulator::new(workload.clone(), sim_config.clone(), configs.clone())
+    });
 }
 
 #[test]
 fn parallel_report_is_byte_identical_under_loss_and_churn() {
     // Loss, delay asymmetry, crash + snapshot restart and a partition all at
     // once: every code path that consumes protocol randomness or link
-    // randomness must stay aligned between the two execution modes.
-    let build = |serial: bool| {
+    // randomness must stay aligned across worker counts.
+    let build = || {
         let workload = PlanetLabConfig::small(12).with_seed(7).with_link_config(
             LinkModelConfig::default()
                 .with_loss_probability(0.03)
@@ -78,11 +81,8 @@ fn parallel_report_is_byte_identical_under_loss_and_churn() {
             ],
         )
         .with_scenario(scenario)
-        .with_serial_execution(serial)
     };
-    let parallel = encode(&mut build(false));
-    let serial = encode(&mut build(true));
-    assert_eq!(parallel, serial);
+    assert_worker_counts_agree(&build);
 }
 
 #[test]
@@ -101,22 +101,17 @@ fn three_configs_run_in_parallel_and_match_serial() {
                 .build(),
         ),
     ];
-    let parallel = encode(&mut Simulator::new(
-        workload.clone(),
-        sim_config.clone(),
-        configs.clone(),
-    ));
-    let serial =
-        encode(&mut Simulator::new(workload, sim_config, configs).with_serial_execution(true));
-    assert_eq!(parallel, serial);
+    assert_worker_counts_agree(&|| {
+        Simulator::new(workload.clone(), sim_config.clone(), configs.clone())
+    });
 }
 
 #[test]
 fn matching_eviction_thresholds_parallelise_and_match_serial() {
-    // Eviction configured but *identical* across configurations: the
-    // parallel path is allowed (each worker evicts at the same timeout) and
-    // must agree with the serial unanimity rule.
-    let build = |serial: bool| {
+    // Eviction configured and *identical* across configurations: every
+    // configuration evicts at the same timeout, so the unanimity rule
+    // removes the peer at once.
+    let build = || {
         let workload = PlanetLabConfig::small(8).with_seed(3);
         let sim_config = SimConfig::new(900.0, 5.0)
             .with_measurement_start(0.0)
@@ -141,18 +136,16 @@ fn matching_eviction_thresholds_parallelise_and_match_serial() {
             ],
         )
         .with_scenario(scenario)
-        .with_serial_execution(serial)
     };
-    let parallel = encode(&mut build(false));
-    let serial = encode(&mut build(true));
-    assert_eq!(parallel, serial);
+    assert_worker_counts_agree(&build);
 }
 
 #[test]
 fn differing_eviction_thresholds_still_match_their_serial_semantics() {
-    // Thresholds differ across configurations → the run must fall back to
-    // the coupled serial path (unanimity rule). Byte-compare two identical
-    // invocations to show the fallback is still deterministic.
+    // Thresholds differ across configurations: the planner keeps one mirror
+    // per configuration and removes a peer from the shared rotation only
+    // once every configuration has evicted it. Repeated invocations and
+    // every worker count must encode identically.
     let build = || {
         let workload = PlanetLabConfig::small(8).with_seed(9);
         let sim_config = SimConfig::new(600.0, 5.0)
@@ -179,4 +172,5 @@ fn differing_eviction_thresholds_still_match_their_serial_semantics() {
     let first = serde::json::to_string(&build().run());
     let second = serde::json::to_string(&build().run());
     assert_eq!(first, second);
+    assert_worker_counts_agree(&build);
 }

@@ -1,9 +1,11 @@
-//! Regression suite for the node-sharded execution path
-//! (`Simulator::with_threads`): partitioning one simulation's engine work
-//! across worker threads must produce a `SimReport` that is
-//! **byte-identical** (serialized form) to the single-threaded run, across
-//! every scenario family — plain runs, lossy links, churn (joins, leaves,
-//! crashes with snapshot restarts), partitions, and coordinate tracking.
+//! Regression suite for node-sharded execution (`Simulator::with_threads`):
+//! partitioning one simulation's engine work across 2, 3 or 4 workers must
+//! produce a `SimReport` that is **byte-identical** (serialized form) to the
+//! one-worker run on the calling thread, across every scenario family —
+//! plain runs, lossy links, churn (joins, leaves, crashes with snapshot
+//! restarts), partitions, and coordinate tracking. In debug builds the
+//! one-worker run also checks the planner's engine mirror after every
+//! operation.
 
 use nc_netsim::linkmodel::LinkModelConfig;
 use nc_netsim::planetlab::PlanetLabConfig;
@@ -15,15 +17,15 @@ fn encode(simulator: &mut Simulator) -> String {
     serde::json::to_string(&simulator.run())
 }
 
-/// Byte-compares a serial run against sharded runs at several thread counts.
+/// Byte-compares a one-worker run against runs on 2, 3 and 4 workers.
 fn assert_sharded_matches_serial(build: &dyn Fn() -> Simulator, label: &str) {
-    let serial = encode(&mut build().with_serial_execution(true));
+    let serial = encode(&mut build().with_threads(1));
     assert!(!serial.is_empty());
-    for threads in [1, 2, 3, 4] {
+    for threads in [2, 3, 4] {
         let sharded = encode(&mut build().with_threads(threads));
         assert_eq!(
             sharded, serial,
-            "{label}: sharded run with {threads} threads diverged from serial"
+            "{label}: sharded run with {threads} workers diverged from one worker"
         );
     }
 }
@@ -186,7 +188,7 @@ fn adversarial_run_with_drift_and_gate_is_byte_identical_across_thread_counts() 
 fn multi_config_sharded_run_matches_serial() {
     // Sharding composes with side-by-side configurations: every worker runs
     // all configurations for its nodes, and the merged report must equal the
-    // interleaved serial run.
+    // one-worker run.
     let build = || {
         let workload = PlanetLabConfig::small(10).with_seed(3);
         let sim_config = SimConfig::new(600.0, 5.0)
@@ -205,10 +207,10 @@ fn multi_config_sharded_run_matches_serial() {
 }
 
 #[test]
-fn differing_eviction_thresholds_fall_back_to_serial() {
-    // with_threads is a no-op when eviction thresholds differ across
-    // configurations — the coupled unanimity rule needs the serial path.
-    // The report must still match the explicit serial run.
+fn differing_eviction_thresholds_shard_and_match_one_worker() {
+    // Eviction thresholds differ across configurations: the planner keeps
+    // one mirror per configuration and applies the unanimity rule across
+    // them, so the run shards like any other.
     let build = || {
         let workload = PlanetLabConfig::small(8).with_seed(9);
         let sim_config = SimConfig::new(600.0, 5.0)
@@ -232,9 +234,7 @@ fn differing_eviction_thresholds_fall_back_to_serial() {
         )
         .with_scenario(scenario)
     };
-    let serial = encode(&mut build().with_serial_execution(true));
-    let sharded = encode(&mut build().with_threads(4));
-    assert_eq!(sharded, serial);
+    assert_sharded_matches_serial(&build, "differing-thresholds");
 }
 
 #[test]
@@ -247,7 +247,7 @@ fn restart_expiry_evictions_reach_the_shared_rotation() {
     // node kept probing the evicted peer forever (the engine ignored the
     // replies as uncorrelated), so its loss accounting diverged from a
     // deployment — and the sharded planner, which mirrors engine evictions
-    // exactly, diverged from the serial path.
+    // exactly, diverged from the engine-driven loop of the time.
     //
     // Setup: node 0 probes only node 1 (no gossip, one initial neighbor,
     // two-node mesh). Node 1 crashes silently at t=100, so probes from
@@ -258,7 +258,7 @@ fn restart_expiry_evictions_reach_the_shared_rotation() {
     // eviction reaches the rotation, node 0's neighbor set is empty after
     // the restart and its loss count freezes at 4; with the bug it keeps
     // probing the already-evicted peer and racks up further losses.
-    let build = |serial: bool, threads: Option<usize>| {
+    let build = |threads: usize| {
         let workload = PlanetLabConfig::small(2).with_seed(1);
         let sim_config = SimConfig::new(600.0, 5.0)
             .with_measurement_start(0.0)
@@ -268,7 +268,7 @@ fn restart_expiry_evictions_reach_the_shared_rotation() {
             .at(100.0, ScenarioAction::Crash { nodes: vec![1] })
             .at(127.0, ScenarioAction::Crash { nodes: vec![0] })
             .at(200.0, ScenarioAction::Restart { nodes: vec![0] });
-        let mut simulator = Simulator::new(
+        Simulator::new(
             workload,
             sim_config,
             vec![(
@@ -277,14 +277,10 @@ fn restart_expiry_evictions_reach_the_shared_rotation() {
             )],
         )
         .with_scenario(scenario)
-        .with_serial_execution(serial);
-        if let Some(threads) = threads {
-            simulator = simulator.with_threads(threads);
-        }
-        simulator
+        .with_threads(threads)
     };
 
-    let report = build(true, None).run();
+    let report = build(1).run();
     let metrics = report.config("mp").unwrap();
     let lost = metrics.nodes[0].probes_lost;
     // Three timeout losses before the crash plus the expiry loss at the
@@ -297,8 +293,8 @@ fn restart_expiry_evictions_reach_the_shared_rotation() {
     );
     assert_eq!(metrics.nodes[0].neighbors_evicted, 1);
 
-    // And the sharded planner mirrors the same eviction.
-    let serial = encode(&mut build(true, None));
-    let sharded = encode(&mut build(false, Some(2)));
+    // And two workers reach the same eviction.
+    let serial = encode(&mut build(1));
+    let sharded = encode(&mut build(2));
     assert_eq!(sharded, serial);
 }

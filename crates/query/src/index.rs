@@ -696,11 +696,13 @@ impl<Id: Clone + Ord + std::hash::Hash> CoordinateIndex<Id> {
             let tail = shard.split_off(shard.len() / 2);
             self.shards.insert(si + 1, tail);
             self.splits += 1;
-            // The old fence (the pre-split last entry) now closes the tail
-            // shard; the left half gets a fresh one.
+            // Both halves re-derive their fences from their last entries:
+            // the pre-insert fence is stale for the tail when the new entry
+            // landed past it (an append to the last shard).
             if let Some(fence) = self.fences.get(si).cloned() {
                 self.fences.insert(si + 1, fence);
             }
+            self.refresh_fence(si + 1);
         }
         self.refresh_fence(si);
     }
@@ -918,6 +920,21 @@ mod tests {
         let (_, merges) = idx.rebalances();
         assert!(merges > 0, "draining must merge underfull shards");
         assert_eq!(idx.len(), 5);
+    }
+
+    #[test]
+    fn a_split_by_an_append_refreshes_the_tail_fence() {
+        // Regression: the ninth point appends past the only shard's fence
+        // and splits it; the tail shard used to inherit the pre-insert
+        // fence (x = 70), so lookups skipped the x = 80 entry.
+        let mut idx = index(8);
+        for i in 0..9u32 {
+            idx.update(i, &coord(f64::from(i) * 10.0, 0.0, 0.0))
+                .unwrap();
+        }
+        assert_eq!(idx.shard_count(), 2);
+        let nearest = idx.k_nearest(&coord(80.0, 0.0, 0.0), 1).unwrap();
+        assert_eq!(nearest.iter().map(|m| m.id).collect::<Vec<_>>(), vec![8]);
     }
 
     #[test]
