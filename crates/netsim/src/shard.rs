@@ -17,16 +17,16 @@
 //!    becomes a self-contained [`Op`], appended to the buffer of the worker
 //!    that owns the node.
 //! 2. **Execute.** Whenever the buffer holds [`BATCH_OPS`] operations, and
-//!    once more at the end of the run, every worker runs its share in
-//!    order. [`Worker::execute`] is the only code in the crate that calls
-//!    the engines. Worker `w` owns every node with `index % workers == w`,
-//!    across all configurations. One worker runs on the calling thread;
-//!    with more, worker 0 stays on the calling thread and the others run on
-//!    scoped threads. The only cross-worker data flow is a probe response
-//!    travelling from the responder's worker to the prober's; it moves
-//!    through a slab of epoch-versioned [`SlotCell`]s with acquire/release
-//!    handshakes, so the steady state recycles response buffers and never
-//!    locks.
+//!    once more at the end of the run, every worker runs its share in order
+//!    with [`execute`], the only code in the crate that calls the engines.
+//!    Worker `w` owns a contiguous block of nodes, across all
+//!    configurations, and borrows their engines, metrics and crash
+//!    snapshots in place for the batch. Worker 0 runs on the calling
+//!    thread, the others on scoped threads. The only cross-worker data flow
+//!    is a probe response travelling from the responder's worker to the
+//!    prober's; it moves through a slab of epoch-versioned [`SlotCell`]s
+//!    with acquire/release handshakes, so the steady state recycles response
+//!    buffers and never locks.
 //!
 //! Each node's engine calls happen in the order its events pop, whatever
 //! the worker count, so the [`crate::metrics::SimReport`] is byte-identical
@@ -55,7 +55,7 @@ use stable_nc::{FxHashMap, NodeConfig, StableNode};
 use crate::adversary::{apply_lie, CoordinateLie};
 use crate::metrics::{NodeMetrics, TrackedCoordinate};
 use crate::scenario::ScenarioAction;
-use crate::sim::{EngineState, EventQueue, ScheduleState, SimEnv};
+use crate::sim::{ConfigRun, EngineState, EventQueue, ScheduleState, SimEnv};
 
 /// Operations the planner buffers before the workers run them. At roughly
 /// a microsecond of engine work per operation, a batch keeps each worker
@@ -267,184 +267,183 @@ fn wait_for(counter: &AtomicU32, epoch: u32) {
     }
 }
 
-/// One configuration's share of a worker: the engines, metrics and crash
-/// snapshots of every node `i` with `i % workers == w`, stored at local
-/// index `i / workers`.
+/// What one worker keeps across batches for one configuration.
 struct WorkerRun {
-    config: NodeConfig,
-    nodes: Vec<StableNode<usize>>,
-    metrics: Vec<NodeMetrics>,
-    snapshots: Vec<Option<NodeSnapshot<usize>>>,
     /// `(sample index, track-list position, sample)` — stitched back into
-    /// the per-run `tracked` vector in event order after the run.
+    /// the run's `tracked` vector in event order after the run.
     tracked: Vec<(u32, u32, TrackedCoordinate)>,
     /// This worker's slice of the run's optional coordinate query index.
-    /// A coordinate update for node `i` is only ever digested by its owning
-    /// worker, so the slices hold disjoint id sets and merge without
-    /// conflicts.
+    /// A coordinate update is only ever digested by the node's owner, so
+    /// the slices hold disjoint id sets and merge without conflicts.
     index: Option<CoordinateIndex<usize>>,
 }
 
-/// One worker's state: its shard of every configuration plus a reusable
-/// engine-event buffer.
-struct Worker {
-    workers: usize,
-    runs: Vec<WorkerRun>,
-    events: Vec<Event<usize>>,
+/// One configuration's engines, metrics and crash snapshots for the block
+/// of nodes a worker owns, borrowed for one batch, plus the worker's own
+/// [`WorkerRun`].
+struct Share<'a> {
+    config: &'a NodeConfig,
+    nodes: &'a mut [StableNode<usize>],
+    metrics: &'a mut [NodeMetrics],
+    snapshots: &'a mut [Option<NodeSnapshot<usize>>],
+    own: &'a mut WorkerRun,
 }
 
-impl Worker {
-    fn execute(&mut self, ops: &[Op], lies: &[CoordinateLie], cells: &[SlotCell]) {
-        let Worker {
-            workers,
-            runs,
-            events,
-        } = self;
-        for op in ops {
-            match *op {
-                Op::Issue { node, dst, now_ms } => {
-                    let local = node as usize / *workers;
-                    for run in runs.iter_mut() {
-                        let _ = run.nodes[local].probe_request_for(dst as usize, now_ms);
-                        run.metrics[local].probes_sent += 1;
-                    }
+/// Runs one worker's operations of a batch, in order, against its shares
+/// (one per configuration) of the nodes from `first` on. The only code in
+/// the crate that calls the engines.
+fn execute(
+    shares: &mut [Share<'_>],
+    first: usize,
+    ops: &[Op],
+    lies: &[CoordinateLie],
+    cells: &[SlotCell],
+) {
+    let mut events = Vec::new();
+    for op in ops {
+        match *op {
+            Op::Issue { node, dst, now_ms } => {
+                let local = node as usize - first;
+                for run in shares.iter_mut() {
+                    let _ = run.nodes[local].probe_request_for(dst as usize, now_ms);
+                    run.metrics[local].probes_sent += 1;
                 }
-                Op::Respond {
-                    dst,
-                    slot,
-                    epoch,
-                    lie,
-                    publish,
-                    seq,
-                    sent_at_ms,
-                    rtt_ms,
-                } => {
-                    let local = dst as usize / *workers;
-                    let cell = &cells[slot as usize];
-                    wait_for(&cell.consumed, epoch - 1);
-                    // SAFETY: the epoch handshake above grants this worker
-                    // exclusive access until it stores published/consumed.
-                    let responses = unsafe { &mut *cell.data.get() };
-                    let request = ProbeRequest::new(dst as usize, seq, sent_at_ms);
-                    let lie = lie.map(|index| &lies[index as usize]);
-                    for (index, run) in runs.iter_mut().enumerate() {
-                        // First uses of a slot grow the response vector;
-                        // afterwards the existing message (and its gossip
-                        // buffer) is rewritten in place.
-                        if responses.len() <= index {
-                            let response = run.nodes[local].respond(&request);
-                            responses.push(response);
-                        } else {
-                            run.nodes[local].respond_into(&request, &mut responses[index]);
-                        }
-                        responses[index].rtt_ms = rtt_ms;
-                        if let Some(lie) = lie {
-                            apply_lie(&mut responses[index], lie);
-                        }
-                    }
-                    let counter = if publish {
-                        &cell.published
+            }
+            Op::Respond {
+                dst,
+                slot,
+                epoch,
+                lie,
+                publish,
+                seq,
+                sent_at_ms,
+                rtt_ms,
+            } => {
+                let local = dst as usize - first;
+                let cell = &cells[slot as usize];
+                wait_for(&cell.consumed, epoch - 1);
+                // SAFETY: the epoch handshake above grants this worker
+                // exclusive access until it stores published/consumed.
+                let responses = unsafe { &mut *cell.data.get() };
+                let request = ProbeRequest::new(dst as usize, seq, sent_at_ms);
+                let lie = lie.map(|index| &lies[index as usize]);
+                for (index, run) in shares.iter_mut().enumerate() {
+                    // First uses of a slot grow the response vector;
+                    // afterwards the existing message (and its gossip
+                    // buffer) is rewritten in place.
+                    if responses.len() <= index {
+                        let response = run.nodes[local].respond(&request);
+                        responses.push(response);
                     } else {
-                        &cell.consumed
-                    };
-                    counter.store(epoch, Ordering::Release);
+                        run.nodes[local].respond_into(&request, &mut responses[index]);
+                    }
+                    responses[index].rtt_ms = rtt_ms;
+                    if let Some(lie) = lie {
+                        apply_lie(&mut responses[index], lie);
+                    }
                 }
-                Op::Digest {
-                    node,
-                    slot,
-                    epoch,
-                    measuring,
-                    now,
-                } => {
-                    let local = node as usize / *workers;
-                    let cell = &cells[slot as usize];
-                    wait_for(&cell.published, epoch);
-                    // SAFETY: published == epoch means the responder is done
-                    // writing; no one else touches the cell until we store
-                    // `consumed`.
-                    let responses = unsafe { &*cell.data.get() };
-                    for (run, response) in runs.iter_mut().zip(responses) {
-                        events.clear();
-                        run.nodes[local].handle_response_into(response, events);
-                        // A reply the engine refused to correlate (it raced
-                        // its own timeout, or the peer was evicted meanwhile)
-                        // is not an observation — it was already accounted
-                        // as a loss.
-                        let ignored = events
-                            .iter()
-                            .any(|event| matches!(event, Event::ResponseIgnored { .. }));
-                        let node_metrics = &mut run.metrics[local];
-                        if !ignored {
-                            node_metrics.responses_received += 1;
-                            if measuring {
-                                node_metrics.observations += 1;
-                            }
+                let counter = if publish {
+                    &cell.published
+                } else {
+                    &cell.consumed
+                };
+                counter.store(epoch, Ordering::Release);
+            }
+            Op::Digest {
+                node,
+                slot,
+                epoch,
+                measuring,
+                now,
+            } => {
+                let local = node as usize - first;
+                let cell = &cells[slot as usize];
+                wait_for(&cell.published, epoch);
+                // SAFETY: published == epoch means the responder is done
+                // writing; no one else touches the cell until we store
+                // `consumed`.
+                let responses = unsafe { &*cell.data.get() };
+                for (run, response) in shares.iter_mut().zip(responses) {
+                    events.clear();
+                    run.nodes[local].handle_response_into(response, &mut events);
+                    // A reply the engine refused to correlate (it raced
+                    // its own timeout, or the peer was evicted meanwhile)
+                    // is not an observation — it was already accounted
+                    // as a loss.
+                    let ignored = events
+                        .iter()
+                        .any(|event| matches!(event, Event::ResponseIgnored { .. }));
+                    let node_metrics = &mut run.metrics[local];
+                    if !ignored {
+                        node_metrics.responses_received += 1;
+                        if measuring {
+                            node_metrics.observations += 1;
                         }
-                        fold_events(node_metrics, now, measuring, events);
-                        feed_query_index(run.index.as_mut(), node as usize, events);
                     }
-                    cell.consumed.store(epoch, Ordering::Release);
+                    fold_events(node_metrics, now, measuring, &events);
+                    feed_query_index(run.own.index.as_mut(), node as usize, &events);
                 }
-                Op::Discard { slot, epoch } => {
-                    let cell = &cells[slot as usize];
-                    wait_for(&cell.published, epoch);
-                    cell.consumed.store(epoch, Ordering::Release);
+                cell.consumed.store(epoch, Ordering::Release);
+            }
+            Op::Discard { slot, epoch } => {
+                let cell = &cells[slot as usize];
+                wait_for(&cell.published, epoch);
+                cell.consumed.store(epoch, Ordering::Release);
+            }
+            Op::Timeout { node, seq } => {
+                let local = node as usize - first;
+                for run in shares.iter_mut() {
+                    events.clear();
+                    run.nodes[local].handle_timeout_into(seq, &mut events);
+                    fold_events(&mut run.metrics[local], 0.0, false, &events);
                 }
-                Op::Timeout { node, seq } => {
-                    let local = node as usize / *workers;
-                    for run in runs.iter_mut() {
-                        events.clear();
-                        run.nodes[local].handle_timeout_into(seq, events);
-                        fold_events(&mut run.metrics[local], 0.0, false, events);
-                    }
+            }
+            Op::Crash { node } => {
+                let local = node as usize - first;
+                for run in shares.iter_mut() {
+                    run.snapshots[local] = Some(run.nodes[local].snapshot());
                 }
-                Op::Crash { node } => {
-                    let local = node as usize / *workers;
-                    for run in runs.iter_mut() {
-                        run.snapshots[local] = Some(run.nodes[local].snapshot());
-                    }
+            }
+            Op::Restore { node, fresh, now } => {
+                let local = node as usize - first;
+                for run in shares.iter_mut() {
+                    let snapshot = if fresh {
+                        None
+                    } else {
+                        run.snapshots[local].take()
+                    };
+                    let mut revived = match snapshot {
+                        Some(snapshot) => StableNode::restore(run.config.clone(), &snapshot)
+                            // nc-lint: allow(panic) — restoring a snapshot
+                            // this run took under the same config cannot
+                            // fail; a failure is a sim bug.
+                            .expect("a crash snapshot restores under its own configuration"),
+                        None => StableNode::new(run.config.clone()),
+                    };
+                    events.clear();
+                    revived.expire_pending_into((now * 1_000.0) as u64, 0, &mut events);
+                    fold_events(&mut run.metrics[local], now, false, &events);
+                    run.nodes[local] = revived;
                 }
-                Op::Restore { node, fresh, now } => {
-                    let local = node as usize / *workers;
-                    for run in runs.iter_mut() {
-                        let snapshot = if fresh {
-                            None
-                        } else {
-                            run.snapshots[local].take()
-                        };
-                        let mut revived = match snapshot {
-                            Some(snapshot) => StableNode::restore(run.config.clone(), &snapshot)
-                                // nc-lint: allow(panic) — restoring a snapshot
-                                // this run took under the same config cannot
-                                // fail; a failure is a sim bug.
-                                .expect("a crash snapshot restores under its own configuration"),
-                            None => StableNode::new(run.config.clone()),
-                        };
-                        events.clear();
-                        revived.expire_pending_into((now * 1_000.0) as u64, 0, events);
-                        fold_events(&mut run.metrics[local], now, false, events);
-                        run.nodes[local] = revived;
-                    }
-                }
-                Op::Track {
-                    node,
-                    sample,
-                    order,
-                    now,
-                } => {
-                    let local = node as usize / *workers;
-                    for run in runs.iter_mut() {
-                        run.tracked.push((
-                            sample,
-                            order,
-                            TrackedCoordinate {
-                                time_s: now,
-                                node: node as usize,
-                                system: run.nodes[local].system_coordinate().clone(),
-                                application: run.nodes[local].application_coordinate().clone(),
-                            },
-                        ));
-                    }
+            }
+            Op::Track {
+                node,
+                sample,
+                order,
+                now,
+            } => {
+                let local = node as usize - first;
+                for run in shares.iter_mut() {
+                    run.own.tracked.push((
+                        sample,
+                        order,
+                        TrackedCoordinate {
+                            time_s: now,
+                            node: node as usize,
+                            system: run.nodes[local].system_coordinate().clone(),
+                            application: run.nodes[local].application_coordinate().clone(),
+                        },
+                    ));
                 }
             }
         }
@@ -500,20 +499,30 @@ fn fold_events(metrics: &mut NodeMetrics, time_s: f64, measuring: bool, events: 
                     .application_displacements
                     .push((time_s, update.displacement_ms));
             }
-            Event::ProbeLost { .. } => metrics.probes_lost += 1,
-            Event::ResponseIgnored { .. } => metrics.responses_ignored += 1,
-            Event::ObservationRejected { .. } => metrics.observations_rejected += 1,
-            Event::NeighborEvicted { .. } => metrics.neighbors_evicted += 1,
+            Event::ProbeLost { .. } => {
+                metrics.probes_lost += 1;
+            }
+            Event::ResponseIgnored { .. } => {
+                metrics.responses_ignored += 1;
+            }
+            Event::ObservationRejected { .. } => {
+                metrics.observations_rejected += 1;
+            }
+            Event::NeighborEvicted { .. } => {
+                metrics.neighbors_evicted += 1;
+            }
             _ => {}
         }
     }
 }
 
 /// The serial half: the event loop, the schedule decisions, the mirrors and
-/// the operation buffer, plus the workers it flushes into.
+/// the operation buffer, plus the state of the workers it flushes into.
 struct Planner<'a> {
     env: &'a SimEnv,
     schedule: &'a mut ScheduleState,
+    runs: &'a mut [ConfigRun],
+    crash_snapshots: &'a mut [Vec<Option<NodeSnapshot<usize>>>],
     /// The mirror of configuration `c` for node `i` sits at
     /// `i * configs + c`.
     mirrors: &'a mut [MirrorNode],
@@ -529,7 +538,10 @@ struct Planner<'a> {
     exchanges: Vec<Exchange>,
     free_slots: Vec<usize>,
     cells: Vec<SlotCell>,
-    workers: Vec<Worker>,
+    /// Worker `w` owns the nodes `w * block .. (w + 1) * block`.
+    block: usize,
+    /// What each worker keeps across batches, per configuration.
+    workers: Vec<Vec<WorkerRun>>,
     track_sample: u32,
     scenario_actions: u64,
 }
@@ -545,9 +557,8 @@ impl Planner<'_> {
     /// Queues `op` for `node`'s worker; `peer` names the peer whose loss
     /// streak the operation may change, for the debug mirror check.
     fn push(&mut self, node: usize, peer: Option<usize>, op: Op) {
-        let shard = node % self.workers.len();
-        // bounds: shard < workers.len() == ops.len().
-        self.ops[shard].push(op);
+        // bounds: node < n <= workers * block, and ops has one list per worker.
+        self.ops[node / self.block].push(op);
         self.buffered += 1;
         if cfg!(debug_assertions) && self.workers.len() == 1 {
             self.flush();
@@ -557,44 +568,69 @@ impl Planner<'_> {
         }
     }
 
-    /// Runs every buffered operation: on the calling thread for one worker,
-    /// on scoped threads (worker 0 on the calling thread) for more.
+    /// Runs every buffered operation: worker 0 on the calling thread, the
+    /// others on scoped threads.
     fn flush(&mut self) {
+        if self.buffered == 0 {
+            return;
+        }
         let Planner {
+            runs,
+            crash_snapshots,
             ops,
             lies,
-            buffered,
             cells,
+            block,
             workers,
             ..
         } = self;
-        let (lies_ref, cells_ref) = (&*lies, &*cells);
-        let mut shares = workers.iter_mut().zip(ops.iter());
-        if let Some((first, first_ops)) = shares.next() {
-            std::thread::scope(|scope| {
-                for (worker, ops) in shares {
-                    scope.spawn(move || worker.execute(ops, lies_ref, cells_ref));
-                }
-                first.execute(first_ops, lies_ref, cells_ref);
-            });
+        let block = *block;
+        let mut shares: Vec<Vec<Share<'_>>> = workers.iter().map(|_| Vec::new()).collect();
+        let mut owns: Vec<_> = workers.iter_mut().map(|runs| runs.iter_mut()).collect();
+        for (run, snapshots) in runs.iter_mut().zip(crash_snapshots.iter_mut()) {
+            let blocks = run
+                .nodes
+                .chunks_mut(block)
+                .zip(run.metrics.nodes.chunks_mut(block))
+                .zip(snapshots.chunks_mut(block));
+            for ((list, own), ((nodes, metrics), snapshots)) in
+                shares.iter_mut().zip(owns.iter_mut()).zip(blocks)
+            {
+                list.extend(own.next().map(|own| Share {
+                    config: &run.config,
+                    nodes,
+                    metrics,
+                    snapshots,
+                    own,
+                }));
+            }
         }
+        let (batch_lies, cells) = (&*lies, &*cells);
+        let mut jobs = shares.into_iter().zip(ops.iter()).enumerate();
+        let calling = jobs.next();
+        std::thread::scope(|scope| {
+            for (w, (mut shares, ops)) in jobs {
+                scope.spawn(move || execute(&mut shares, w * block, ops, batch_lies, cells));
+            }
+            if let Some((_, (mut shares, ops))) = calling {
+                execute(&mut shares, 0, ops, batch_lies, cells);
+            }
+        });
         for list in ops.iter_mut() {
             list.clear();
         }
         lies.clear();
-        *buffered = 0;
+        self.buffered = 0;
     }
 
     /// Asserts that every configuration's engine for `node` matches its
     /// mirror: sequence counter, pending `(seq, target)` list, and the loss
     /// streak of every peer the mirror tracks plus `peer`. Streaks change
     /// only in operations that name their peer, so checking that peer after
-    /// every operation covers every streak by induction. Only meaningful
-    /// with one worker, where the engines live in `workers[0]` at their
-    /// global index.
+    /// every operation covers every streak by induction.
     fn check_mirrors(&self, node: usize, peer: Option<usize>) {
         let configs = self.max_losses.len();
-        for (c, run) in self.workers[0].runs.iter().enumerate() {
+        for (c, run) in self.runs.iter().enumerate() {
             let engine = &run.nodes[node];
             // bounds: node < n and c < configs.
             let mirror = &self.mirrors[node * configs + c];
@@ -1018,18 +1054,44 @@ impl Planner<'_> {
 /// (metrics, engines, schedule, mirrors, crash snapshots, query indexes)
 /// byte-identical whatever the worker count.
 pub(crate) fn run(env: &SimEnv, state: &mut EngineState, workers: usize) {
-    let max_losses = state
-        .runs
-        .iter()
-        .map(|run| run.config.max_consecutive_losses)
+    let EngineState {
+        schedule,
+        runs,
+        crash_snapshots,
+        mirrors,
+        mirror_snapshots,
+    } = state;
+    // A lone worker feeds each run's query index in place; several fill
+    // empty slices that merge into it after the run.
+    let parts = (0..workers)
+        .map(|_| {
+            runs.iter_mut()
+                .map(|run| WorkerRun {
+                    tracked: Vec::new(),
+                    index: match &mut run.index {
+                        index if workers == 1 => index.take(),
+                        index => index.as_ref().map(|index| {
+                            CoordinateIndex::new(index.config().clone())
+                                // nc-lint: allow(panic) — the config validated
+                                // when the run's index was built.
+                                .expect("a validated query config rebuilds")
+                        }),
+                    },
+                })
+                .collect()
+        })
         .collect();
-    let dealt = deal(state, workers);
     let mut planner = Planner {
         env,
-        schedule: &mut state.schedule,
-        mirrors: &mut state.mirrors,
-        mirror_snapshots: &mut state.mirror_snapshots,
-        max_losses,
+        schedule,
+        max_losses: runs
+            .iter()
+            .map(|run| run.config.max_consecutive_losses)
+            .collect(),
+        runs,
+        crash_snapshots,
+        mirrors,
+        mirror_snapshots,
         queue: EventQueue::new(),
         ops: (0..workers).map(|_| Vec::new()).collect(),
         lies: Vec::new(),
@@ -1037,89 +1099,26 @@ pub(crate) fn run(env: &SimEnv, state: &mut EngineState, workers: usize) {
         exchanges: Vec::new(),
         free_slots: Vec::new(),
         cells: Vec::new(),
-        workers: dealt,
+        block: env.topology.len().div_ceil(workers).max(1),
+        workers: parts,
         track_sample: 0,
         scenario_actions: 0,
     };
     planner.run();
-    let (finished, scenario_actions) = (planner.workers, planner.scenario_actions);
-    collect(env, state, finished, scenario_actions);
-}
+    let Planner {
+        runs,
+        mut workers,
+        scenario_actions,
+        ..
+    } = planner;
 
-/// Deals node `i` (engines, metrics, crash snapshots — every
-/// configuration) to worker `i % workers` at local index `i / workers`.
-/// Worker 0 takes each run's query index; the others start empty slices.
-fn deal(state: &mut EngineState, workers: usize) -> Vec<Worker> {
-    let mut dealt: Vec<Worker> = (0..workers)
-        .map(|_| Worker {
-            workers,
-            runs: Vec::with_capacity(state.runs.len()),
-            events: Vec::new(),
-        })
-        .collect();
-    for (run, snapshots) in state.runs.iter_mut().zip(&mut state.crash_snapshots) {
-        let n = run.nodes.len();
-        let index_config = run.index.as_ref().map(|index| index.config().clone());
-        for (w, worker) in dealt.iter_mut().enumerate() {
-            let index = if w == 0 {
-                run.index.take()
-            } else {
-                index_config.clone().map(|config| {
-                    CoordinateIndex::new(config)
-                        // nc-lint: allow(panic) — the config validated when
-                        // the run's index was built; revalidation is free.
-                        .expect("a validated query config rebuilds")
-                })
-            };
-            worker.runs.push(WorkerRun {
-                config: run.config.clone(),
-                nodes: Vec::with_capacity(n / workers + 1),
-                metrics: Vec::with_capacity(n / workers + 1),
-                snapshots: Vec::with_capacity(n / workers + 1),
-                tracked: Vec::new(),
-                index,
-            });
-        }
-        let nodes = std::mem::take(&mut run.nodes);
-        let metrics = std::mem::take(&mut run.metrics.nodes);
-        for (i, ((node, metric), snapshot)) in nodes
-            .into_iter()
-            .zip(metrics)
-            .zip(std::mem::take(snapshots))
-            .enumerate()
-        {
-            // bounds: i % workers < workers == dealt.len().
-            if let Some(share) = dealt[i % workers].runs.last_mut() {
-                share.nodes.push(node);
-                share.metrics.push(metric);
-                share.snapshots.push(snapshot);
-            }
-        }
-    }
-    dealt
-}
-
-/// Reassembles `state` from the workers in global node order, stitches the
-/// tracked samples back into event order and folds the query-index slices
-/// into worker 0's index.
-fn collect(env: &SimEnv, state: &mut EngineState, finished: Vec<Worker>, scenario_actions: u64) {
-    let n = env.topology.len();
-    let workers = finished.len();
-    let mut shares: Vec<std::vec::IntoIter<WorkerRun>> = finished
-        .into_iter()
-        .map(|worker| worker.runs.into_iter())
-        .collect();
-    for (run, snapshots) in state.runs.iter_mut().zip(&mut state.crash_snapshots) {
-        let mut nodes = Vec::new();
-        let mut metrics = Vec::new();
-        let mut snapshot_parts = Vec::new();
+    // Return or merge the index slices and stitch the tracked samples back
+    // into event order.
+    for (r, run) in runs.iter_mut().enumerate() {
         let mut tracked = Vec::new();
-        for share in shares.iter_mut().filter_map(Iterator::next) {
-            nodes.push(share.nodes.into_iter());
-            metrics.push(share.metrics.into_iter());
-            snapshot_parts.push(share.snapshots.into_iter());
-            tracked.extend(share.tracked);
-            match (&mut run.index, share.index) {
+        for part in workers.iter_mut().filter_map(|parts| parts.get_mut(r)) {
+            tracked.append(&mut part.tracked);
+            match (&mut run.index, part.index.take()) {
                 (None, index) => run.index = index,
                 (Some(target), Some(part)) => {
                     for (id, coordinate) in part.iter() {
@@ -1129,17 +1128,6 @@ fn collect(env: &SimEnv, state: &mut EngineState, finished: Vec<Worker>, scenari
                 (Some(_), None) => {}
             }
         }
-        // Worker k holds exactly the nodes `i` with `i % workers == k`, in
-        // ascending order, so draining the shares round-robin restores the
-        // global node order.
-        for i in 0..n {
-            // bounds: i % workers < workers, one share per worker.
-            let k = i % workers;
-            run.nodes.extend(nodes[k].next());
-            run.metrics.nodes.extend(metrics[k].next());
-            snapshots.extend(snapshot_parts[k].next());
-        }
-        debug_assert_eq!(run.nodes.len(), n, "every worker returns its nodes");
         tracked.sort_by_key(|&(sample, order, _)| (sample, order));
         run.metrics
             .tracked

@@ -13,15 +13,16 @@
 //!
 //! # The event model
 //!
-//! Time advances through a [`EventQueue`] of scheduled [`SimEvent`]s rather
+//! Time advances through an [`EventQueue`] of scheduled events rather
 //! than fixed steps, so probes are genuinely *in flight*: a probe sent at
 //! `t` reaches its target half an RTT later (split asymmetrically when the
 //! link model says so), the reply takes the other half back, and only then
 //! does the prober's engine digest the observation. A probe or reply may be
 //! dropped by the link's loss process or by an active network partition, in
 //! which case the prober's timeout fires instead and the engine reports
-//! [`Event::ProbeLost`] — the round-robin schedule keeps advancing either
-//! way; nothing ever stalls on an unanswered probe.
+//! [`Event::ProbeLost`](nc_proto::Event::ProbeLost) — the round-robin
+//! schedule keeps advancing either way; nothing ever stalls on an
+//! unanswered probe.
 //!
 //! Probing follows the paper's protocol: every node samples its neighbour
 //! set in round-robin order at a fixed interval, neighbour sets start small
@@ -42,9 +43,9 @@
 //! [`StableNode::respond`] → stamp the sampled RTT into the
 //! [`ProbeResponse`](nc_proto::ProbeResponse) →
 //! [`StableNode::handle_response`] — and the metrics are folded from the
-//! returned [`Event`] stream, exactly as a deployed daemon would consume
-//! them. Timeouts run through [`StableNode::handle_timeout`], the same API a
-//! daemon's timer wheel would call.
+//! returned [`Event`](nc_proto::Event) stream, exactly as a deployed daemon
+//! would consume them. Timeouts run through [`StableNode::handle_timeout`],
+//! the same API a daemon's timer wheel would call.
 //!
 //! # Execution
 //!
