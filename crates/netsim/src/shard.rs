@@ -138,7 +138,7 @@ enum Op {
 
 /// The planner's record of one in-flight exchange, recycled through the
 /// slot free list together with the [`SlotCell`] of the same index.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Exchange {
     seq: u64,
     sent_at_ms: u64,
@@ -1068,14 +1068,15 @@ pub(crate) fn run(env: &SimEnv, state: &mut EngineState, workers: usize) {
             runs.iter_mut()
                 .map(|run| WorkerRun {
                     tracked: Vec::new(),
-                    index: match &mut run.index {
-                        index if workers == 1 => index.take(),
-                        index => index.as_ref().map(|index| {
+                    index: if workers == 1 {
+                        run.index.take()
+                    } else {
+                        run.index.as_ref().map(|index| {
                             CoordinateIndex::new(index.config().clone())
                                 // nc-lint: allow(panic) — the config validated
                                 // when the run's index was built.
                                 .expect("a validated query config rebuilds")
-                        }),
+                        })
                     },
                 })
                 .collect()

@@ -517,7 +517,6 @@ impl<T> EventQueue<T> {
 
 /// One in-run network partition: packets crossing the boundary between
 /// `members` and everyone else are dropped until `heal_at_s`.
-#[derive(Clone)]
 pub(crate) struct PartitionWindow {
     pub(crate) heal_at_s: f64,
     pub(crate) members: Vec<bool>,
@@ -551,7 +550,6 @@ pub(crate) struct SimEnv {
 /// effects are a pure function of this state plus the seeds — never of the
 /// coordinate stacks — which is what lets the planner decide it from a
 /// mirror of the engines while the workers run them.
-#[derive(Clone)]
 pub(crate) struct ScheduleState {
     /// Per-link models, keyed by the packed `(lo << 32) | hi` node pair.
     /// FxHash keeps the one map lookup per exchange a few shifts and
