@@ -890,16 +890,16 @@ impl Simulator {
         self
     }
 
-    /// Runs this simulation's engine work on `threads` workers. Worker `w`
-    /// owns node `i` when `i % threads == w`, across every configuration,
-    /// and the [`SimReport`] is byte-identical at every count.
+    /// Runs this simulation's engine work on `threads` workers, each owning
+    /// a contiguous block of nodes across every configuration. The
+    /// [`SimReport`] is byte-identical at every count.
     ///
     /// The schedule (probe targets, link draws, losses, gossip, scenario
     /// effects) is always decided by one serial event loop — it is cheap and
     /// inherently sequential through the protocol RNG — which buffers the
     /// engine work (coordinate updates, filters, response digestion) in
-    /// bounded batches. One worker runs each batch on the calling thread;
-    /// more run it on scoped threads. Without this call a run uses
+    /// bounded batches. Worker 0 runs on the calling thread, the others on
+    /// scoped threads. Without this call a run uses
     /// `min(configurations, available cores)` workers, so a
     /// single-configuration run stays on the calling thread.
     ///
